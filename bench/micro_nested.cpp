@@ -24,7 +24,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -245,97 +244,6 @@ DeepChainRecord measure_deep_chain(unsigned rounds) {
   return rec;
 }
 
-// --- barrier wake latency ---------------------------------------------------
-// One round: the root task spawns one sleeper child and spins (yielding)
-// until the child has demonstrably STARTED on the other worker — only then
-// does it enter its in-task barrier, so the child can never be helped
-// inline and the waiter genuinely has to wait for a remote completion.
-// With event wakeup the waiter parks and is woken by the last-child
-// notify; with the polling baseline it sleeps in 50 us slices, so its wake
-// trails the child's end by up to a full slice.  Latency is the gap
-// between the child's end stamp and the waiter's wake stamp — the quantity
-// the >= 2x p99 acceptance gate compares across the two modes.
-
-struct WakeSide {
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-};
-
-std::int64_t wake_round(sigrt::Runtime& rt) {
-  std::atomic<bool> started{false};
-  std::atomic<std::int64_t> last_end{0};
-  std::atomic<std::int64_t> wake{0};
-  rt.spawn(sigrt::task([&] {
-    rt.spawn(sigrt::task([&] {
-      started.store(true, std::memory_order_seq_cst);
-      // Busy-spin, do not sleep: a sleeping child ends on a kernel timer
-      // tick, and timer-slack coalescing would wake the polling waiter on
-      // the same tick — hiding exactly the polling latency this measures.
-      // The spin must also outlast the waiter's pre-sleep yield phase even
-      // on a single-CPU box, where each yield grants this child a full
-      // scheduler slice (~1 ms x 16 yields), so it runs for 20 ms.
-      const std::int64_t t0 = sigrt::support::now_ns();
-      while (sigrt::support::now_ns() - t0 < 20'000'000) {
-      }
-      last_end.store(sigrt::support::now_ns(), std::memory_order_seq_cst);
-    }));
-    // Hand the child to the other worker before entering the barrier
-    // (yield keeps the second worker runnable on oversubscribed boxes).
-    while (!started.load(std::memory_order_seq_cst)) {
-      std::this_thread::yield();
-    }
-    rt.wait_all();  // in-task: nothing to help — a pure remote wait
-    wake.store(sigrt::support::now_ns(), std::memory_order_seq_cst);
-  }));
-  rt.wait_all();
-  return wake.load() - last_end.load();
-}
-
-WakeSide percentiles(std::vector<std::int64_t>& ns) {
-  std::sort(ns.begin(), ns.end());
-  WakeSide s;
-  s.p50_us = static_cast<double>(ns[ns.size() / 2]) * 1e-3;
-  s.p99_us = static_cast<double>(ns[ns.size() * 99 / 100]) * 1e-3;
-  return s;
-}
-
-struct WakeRecord {
-  unsigned rounds = 0;
-  WakeSide event;
-  WakeSide poll;
-};
-
-WakeRecord measure_barrier_wake(unsigned rounds) {
-  const auto make_config = [](bool event_wakeup) {
-    sigrt::RuntimeConfig c;
-    c.workers = 2;
-    c.policy = sigrt::PolicyKind::Agnostic;  // pass-through: untimed parks
-    c.record_task_log = false;
-    c.event_wakeup = event_wakeup;  // false = the PR-5 yield/50 us baseline
-    return c;
-  };
-  // Both runtimes persist across the measurement and rounds alternate
-  // between them, so machine noise lands on both sides equally.
-  sigrt::Runtime rt_event(make_config(true));
-  sigrt::Runtime rt_poll(make_config(false));
-  for (unsigned r = 0; r < 4; ++r) {
-    (void)wake_round(rt_event);
-    (void)wake_round(rt_poll);
-  }
-  std::vector<std::int64_t> ns_event, ns_poll;
-  ns_event.reserve(rounds);
-  ns_poll.reserve(rounds);
-  for (unsigned r = 0; r < rounds; ++r) {
-    ns_event.push_back(wake_round(rt_event));
-    ns_poll.push_back(wake_round(rt_poll));
-  }
-  WakeRecord rec;
-  rec.rounds = rounds;
-  rec.event = percentiles(ns_event);
-  rec.poll = percentiles(ns_poll);
-  return rec;
-}
-
 // --- redo overhead (disarmed check/redo path) ------------------------------
 // The resilience gate: a task that carries a check() validator and a redo
 // budget must cost the same as a plain task while no fault plan is armed.
@@ -457,7 +365,6 @@ int main(int, char**) {
     records.push_back(measure(sigrt::PolicyKind::LQH, 0.5, w, /*max_warmup=*/6));
   }
   const DeepChainRecord chain = measure_deep_chain(/*rounds=*/32);
-  const WakeRecord wake = measure_barrier_wake(/*rounds=*/250);
   const RedoOverheadRecord redo = measure_redo_overhead();
 
   std::printf("{\"bench\":\"micro_nested\",\"fib_n\":%d,\"cutoff\":%d,"
@@ -485,13 +392,6 @@ int main(int, char**) {
               ",\"allocs\":%" PRIu64 "}",
               kChainDepth, chain.rounds, chain.wall_s, chain.handoffs,
               chain.spares_spawned, chain.allocs);
-  std::printf(
-      ",\"barrier_wake\":{\"rounds\":%u,"
-      "\"event\":{\"p50_us\":%.2f,\"p99_us\":%.2f},"
-      "\"poll\":{\"p50_us\":%.2f,\"p99_us\":%.2f},\"p99_ratio\":%.2f}",
-      wake.rounds, wake.event.p50_us, wake.event.p99_us, wake.poll.p50_us,
-      wake.poll.p99_us,
-      wake.event.p99_us > 0.0 ? wake.poll.p99_us / wake.event.p99_us : 0.0);
   std::printf(
       ",\"redo_overhead\":{\"fault_injection_compiled\":%s,\"rounds\":%u,"
       "\"tasks_per_round\":%" PRIu64

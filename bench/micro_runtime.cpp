@@ -1,18 +1,9 @@
-// Microbenchmarks of the runtime substrate (google-benchmark): per-task
-// spawn/classify/complete cost per policy, dependence-tracking cost, and
-// the LQH decision path — the quantities behind Figure 4's "negligible
-// overhead" claim.
-//
-// Besides the google-benchmark suite, main() emits a one-line JSON record
-// (tasks/sec and steals/sec of a threaded spawn+execute run with stealing
-// enabled) so successive PRs can track the scheduler's perf trajectory in
-// BENCH_*.json.  `--benchmark_filter=NONE` skips the suite and prints only
-// the record.
-#include <benchmark/benchmark.h>
-
+// Scheduler throughput record: spawn+execute of empty-body tasks across
+// worker threads with stealing enabled, printed as one JSON line (tasks/sec
+// and steals/sec) so successive changes can track the scheduler's perf
+// trajectory in BENCH_*.json.  Command-line arguments are ignored.
 #include <cinttypes>
 #include <cstdio>
-#include <vector>
 
 #include "core/sigrt.hpp"
 #include "support/timer.hpp"
@@ -22,130 +13,6 @@ namespace {
 using sigrt::PolicyKind;
 using sigrt::Runtime;
 using sigrt::RuntimeConfig;
-
-RuntimeConfig inline_config(PolicyKind p, std::size_t buffer = 32) {
-  RuntimeConfig c;
-  c.workers = 0;  // inline: measures runtime bookkeeping, not thread wakeup
-  c.policy = p;
-  c.gtb_buffer = buffer;
-  c.record_task_log = false;
-  return c;
-}
-
-void spawn_batch(Runtime& rt, sigrt::GroupId g, int n) {
-  for (int i = 0; i < n; ++i) {
-    rt.spawn(sigrt::task([] { benchmark::DoNotOptimize(0); })
-                 .approx([] { benchmark::DoNotOptimize(1); })
-                 .significance(static_cast<double>(i % 9 + 1) / 10.0)
-                 .group(g));
-  }
-  rt.wait_group(g);
-}
-
-void BM_SpawnWait_Agnostic(benchmark::State& state) {
-  Runtime rt(inline_config(PolicyKind::Agnostic));
-  const auto g = rt.create_group("g", 1.0);
-  for (auto _ : state) spawn_batch(rt, g, static_cast<int>(state.range(0)));
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SpawnWait_Agnostic)->Arg(256);
-
-void BM_SpawnWait_GTB(benchmark::State& state) {
-  Runtime rt(inline_config(PolicyKind::GTB, 32));
-  const auto g = rt.create_group("g", 0.5);
-  for (auto _ : state) spawn_batch(rt, g, static_cast<int>(state.range(0)));
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SpawnWait_GTB)->Arg(256);
-
-void BM_SpawnWait_GTBMaxBuffer(benchmark::State& state) {
-  Runtime rt(inline_config(PolicyKind::GTBMaxBuffer));
-  const auto g = rt.create_group("g", 0.5);
-  for (auto _ : state) spawn_batch(rt, g, static_cast<int>(state.range(0)));
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SpawnWait_GTBMaxBuffer)->Arg(256);
-
-void BM_SpawnWait_LQH(benchmark::State& state) {
-  Runtime rt(inline_config(PolicyKind::LQH));
-  const auto g = rt.create_group("g", 0.5);
-  for (auto _ : state) spawn_batch(rt, g, static_cast<int>(state.range(0)));
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SpawnWait_LQH)->Arg(256);
-
-// Dependence tracking: producer/consumer chains over one block vs
-// independent tasks — isolates the tracker's contribution.
-void BM_DependentChain(benchmark::State& state) {
-  Runtime rt(inline_config(PolicyKind::Agnostic));
-  alignas(1024) static double cell[128];
-  for (auto _ : state) {
-    for (int i = 0; i < 128; ++i) {
-      rt.spawn(sigrt::task([] { benchmark::DoNotOptimize(0); }).inout(cell, 128));
-    }
-    rt.wait_all();
-  }
-  state.SetItemsProcessed(state.iterations() * 128);
-}
-BENCHMARK(BM_DependentChain);
-
-void BM_IndependentTasksWithClauses(benchmark::State& state) {
-  Runtime rt(inline_config(PolicyKind::Agnostic));
-  static std::vector<double> arena(128 * 256);
-  for (auto _ : state) {
-    for (int i = 0; i < 128; ++i) {
-      double* slot = arena.data() + i * 256;
-      rt.spawn(sigrt::task([] { benchmark::DoNotOptimize(0); }).out(slot, 256));
-    }
-    rt.wait_all();
-  }
-  state.SetItemsProcessed(state.iterations() * 128);
-}
-BENCHMARK(BM_IndependentTasksWithClauses);
-
-// Threaded end-to-end: spawn/execute/steal with 4 workers and real (tiny)
-// task bodies.
-void BM_ThreadedThroughput(benchmark::State& state) {
-  RuntimeConfig c;
-  c.workers = 4;
-  c.policy = PolicyKind::LQH;
-  c.record_task_log = false;
-  Runtime rt(c);
-  const auto g = rt.create_group("g", 0.5);
-  for (auto _ : state) {
-    for (int i = 0; i < 512; ++i) {
-      rt.spawn(sigrt::task([] {
-                 volatile int x = 0;
-                 for (int j = 0; j < 64; ++j) x += j;
-               })
-                   .approx([] { benchmark::DoNotOptimize(2); })
-                   .significance(static_cast<double>(i % 9 + 1) / 10.0)
-                   .group(g));
-    }
-    rt.wait_group(g);
-  }
-  state.SetItemsProcessed(state.iterations() * 512);
-}
-BENCHMARK(BM_ThreadedThroughput)->Unit(benchmark::kMillisecond);
-
-// Group report (Table 2 accounting) on a populated log.
-void BM_GroupReport(benchmark::State& state) {
-  RuntimeConfig c = inline_config(PolicyKind::GTBMaxBuffer);
-  c.record_task_log = true;
-  Runtime rt(c);
-  const auto g = rt.create_group("g", 0.5);
-  for (int i = 0; i < 4096; ++i) {
-    rt.spawn(sigrt::task([] {})
-                 .approx([] {})
-                 .significance(static_cast<double>(i % 9 + 1) / 10.0)
-                 .group(g));
-  }
-  rt.wait_group(g);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rt.group_report(g));
-  }
-}
-BENCHMARK(BM_GroupReport);
 
 // Steady-state scheduler throughput: spawn+execute `tasks` empty-body tasks
 // across `workers` workers with stealing enabled, timed wall-to-wall.  This
@@ -188,12 +55,7 @@ ThroughputRecord measure_throughput(unsigned workers, std::uint64_t tasks) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
+int main(int, char**) {
   constexpr unsigned kWorkers = 8;
   constexpr std::uint64_t kTasks = 200000;
   const ThroughputRecord r = measure_throughput(kWorkers, kTasks);

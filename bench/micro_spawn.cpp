@@ -13,9 +13,8 @@
 //   ns_per_spawn    = master-side cost of Runtime::spawn alone
 //
 // Output is one JSON line in the micro_runtime record format so CI uploads
-// it next to the throughput record (BENCH_*.json); `--benchmark_filter=NONE`
-// (or any argument) is accepted and ignored for CLI compatibility with the
-// google-benchmark harnesses.
+// it next to the throughput record (BENCH_*.json); command-line arguments
+// are ignored.
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -64,21 +63,6 @@ class EventCount {
     while (s.state.load(std::memory_order_acquire) == kWaiting) {
       s.cv.wait(lock.native());
     }
-    s.state.store(kActive, std::memory_order_release);
-  }
-
-  /// Timed phase 2: additionally returns after `timeout` — used by barrier
-  /// waiters under a buffering policy, which must surface periodically to
-  /// re-flush the policy window.  A timeout that races with a notify
-  /// consumes the signal (the waiter is awake either way); a notify that
-  /// lands after the kActive store fails its CAS and treats the worker as
-  /// running — no signal is lost, none is duplicated.
-  void commit_wait_for(unsigned i, std::chrono::microseconds timeout) {
-    Slot& s = slots_[i];
-    support::MutexLock lock(s.mutex);
-    s.cv.wait_for(lock.native(), timeout, [&s] {
-      return s.state.load(std::memory_order_acquire) != kWaiting;
-    });
     s.state.store(kActive, std::memory_order_release);
   }
 

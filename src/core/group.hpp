@@ -18,8 +18,6 @@
 
 namespace sigrt {
 
-struct BarrierWaiter;  // core/parker.hpp
-
 /// One (significance, outcome) observation; the per-group log of these
 /// drives the Table 2 metrics.
 struct TaskRecord {
@@ -139,15 +137,6 @@ class TaskGroup {
     return pending_.load(std::memory_order_acquire);
   }
 
-  /// Event-driven in-task barrier support: registers/removes a parked
-  /// waiter handle to be notified when the group quiesces (pending reaches
-  /// zero).  Registration shares wait_mutex_ with the quiescence broadcast,
-  /// so a register that races the last completion either sees pending==0 on
-  /// its own re-check or is woken by the broadcast.  Waiters self-remove;
-  /// the vector keeps its capacity, so the steady state allocates nothing.
-  void add_intask_waiter(BarrierWaiter* w);
-  void remove_intask_waiter(BarrierWaiter* w);
-
   /// Accounting snapshot (includes the inversion scan over the task log).
   [[nodiscard]] GroupReport report() const;
 
@@ -171,10 +160,6 @@ class TaskGroup {
 
   mutable support::Mutex wait_mutex_;
   mutable std::condition_variable wait_cv_;
-
-  /// Parked in-task waiters.  Cold path: only waiters that exhausted all
-  /// acquirable work land here.
-  std::vector<BarrierWaiter*> intask_waiters_ SIGRT_GUARDED_BY(wait_mutex_);
 
   // Task-record log, sharded by executing worker so the per-completion
   // append never crosses a contended lock: worker w appends to shard

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/parker.hpp"
 #include "core/topology.hpp"
 #include "fault/fault.hpp"
 #include "support/rng.hpp"
@@ -127,11 +126,10 @@ Runtime::Runtime(RuntimeConfig config)
   // worker-local history, with no locks on the path.  The hooks are plain
   // function pointers over `this` — captureless trampolines, no
   // std::function type erasure anywhere on the execute path.
-  // Elastic-pool sizing rides the config; event_wakeup=false is the pure
-  // PR-5 baseline, so it also zeroes the spare budget (no handoffs ever).
+  // Elastic-pool sizing rides the config; max_spare_threads=0 disables
+  // slot handoffs entirely.
   SchedulerOptions sched_options;
-  sched_options.max_spares =
-      config_.event_wakeup ? config_.max_spare_threads : 0;
+  sched_options.max_spares = config_.max_spare_threads;
   sched_options.spare_grace = std::chrono::milliseconds(config_.spare_grace_ms);
   scheduler_ = std::make_unique<Scheduler>(
       config_.workers, config_.unreliable_workers, config_.steal, this,
@@ -594,18 +592,7 @@ void Runtime::execute_task(Task& task, unsigned worker) {
   // load, ordering this task's side effects (and its on_complete above)
   // before the barrier opens; then drop the child's pin on the parent.
   if (Task* parent = task.parent) {
-    if (parent->children.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last child: wake a parked taskwait waiter (event_wakeup).  The
-      // fence pairs Dekker-style with the waiter's register-then-recheck
-      // (see parker.hpp): either this load sees the registered handle, or
-      // the waiter's post-registration recheck sees children == 0.  The
-      // notify must precede parent->release(): the waiter slot lives in
-      // the parent, which this release may recycle.
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (BarrierWaiter* w = parent->waiter.load(std::memory_order_acquire)) {
-        w->notify();
-      }
-    }
+    parent->children.fetch_sub(1, std::memory_order_acq_rel);
     parent->release();
   }
 
@@ -620,51 +607,52 @@ void Runtime::on_task_finished() {
 }
 
 template <typename Done>
-void Runtime::help_until(Done done, Task* wtask, TaskGroup* wgroup) {
+void Runtime::help_until(Done done) {
   // Helping barrier: a worker inside a task body must never block its OS
   // thread on a barrier — every worker doing so (recursive fan-out does
   // exactly this) would deadlock the pool.  Instead the waiter keeps
   // executing tasks: its own deque first (where its children just landed),
-  // then inbox/steals.
+  // then inbox/steals.  When nothing is acquirable but the barrier still
+  // holds, the awaited tasks are in flight on other threads; completions
+  // carry no waiter signal, so back off with yields (the common
+  // microsecond case) escalating to short sleeps (the long-tail case).
+  // Liveness rests on the awaited counter alone: every completion
+  // decrements it, and the next poll observes the zero.
   //
   // Each nested barrier frame deepens the C++ stack by whatever the helped
   // bodies use, so helping depth is capped (config_.helping_depth): a
   // waiter past the cap hands its worker slot to a spare thread
-  // (detach_for_blocking) and blocks for real — parallelism survives on
-  // the spare, the stack stops growing here.  When the spare budget is
-  // exhausted, liveness wins over the stack bound and the waiter keeps
-  // helping.
+  // (detach_for_blocking) and only sleep-polls from then on — parallelism
+  // survives on the spare, the stack stops growing here.  When the spare
+  // budget is exhausted, liveness wins over the stack bound and the waiter
+  // keeps helping.
   struct DepthFrame {
     unsigned& depth;
     explicit DepthFrame(unsigned& d) : depth(d) { ++depth; }
     ~DepthFrame() { --depth; }
   } depth_frame(tls_help_depth);
 
-  // Event-driven wakeup needs a completion-side scope to hook: a task's
-  // last child (wtask) or a group's quiescence (wgroup).  Without one
-  // (wait_on's fence flag), or with event_wakeup off, fall back to the
-  // poll backoff — yield escalating to 50 µs sleeps, the PR-5 baseline.
-  const bool event = config_.event_wakeup && !scheduler_->inline_mode() &&
-                     (wtask != nullptr || wgroup != nullptr);
-  // Blocked mode: this thread no longer owns a worker slot (an enclosing
-  // barrier or BlockingSection already detached it) — it must not execute
-  // further task bodies on this stack, only park on its Parker.
-  bool blocked_mode = event && !scheduler_->owns_current_slot();
-
-  BarrierWaiter* waiter = nullptr;  // registered lazily, on first park
+  // A thread that no longer owns a worker slot (an enclosing barrier or
+  // BlockingSection already detached it) must not execute further task
+  // bodies on this stack.  The inline-mode owner owns no slot but always
+  // helps.
+  bool detached =
+      !scheduler_->inline_mode() && !scheduler_->owns_current_slot();
   int idle = 0;
   while (!done()) {
-    if (event && !blocked_mode && tls_help_depth > config_.helping_depth &&
+    if (!detached && tls_help_depth > config_.helping_depth &&
         scheduler_->detach_for_blocking()) {
-      blocked_mode = true;
+      detached = true;
     }
-    if (!blocked_mode && scheduler_->help_one()) {
-      idle = 0;
-      continue;
-    }
-    if (++idle < 16) {
-      std::this_thread::yield();
-      continue;
+    if (!detached) {
+      if (scheduler_->help_one()) {
+        idle = 0;
+        continue;
+      }
+      if (++idle < 16) {
+        std::this_thread::yield();
+        continue;
+      }
     }
     // Nothing acquirable but the barrier still holds.  Under a buffering
     // policy, re-flush before sleeping: a task executed meanwhile (here or
@@ -672,60 +660,7 @@ void Runtime::help_until(Done done, Task* wtask, TaskGroup* wgroup) {
     // entry-time flush cannot have seen it — without this the awaited task
     // sits in the buffer forever.
     if (!pass_through_) policy_->flush(kAllGroups, *this);
-    if (!event) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-      continue;
-    }
-    // Park until the completion side notifies (see parker.hpp for the
-    // Dekker pairing with the completer).  Registration happens once and
-    // stays in place across parks; buffering policies use timed parks so
-    // the flush above re-runs periodically.
-    if (waiter == nullptr) {
-      waiter = this_thread_waiter();
-      if (wtask != nullptr) {
-        wtask->waiter.store(waiter, std::memory_order_release);
-      } else if (wgroup != nullptr) {  // always true here; placates -Wnonnull
-        wgroup->add_intask_waiter(waiter);
-      }
-    }
-    if (blocked_mode) {
-      waiter->sched.store(nullptr, std::memory_order_release);
-      waiter->parker.prepare_park();
-      if (done()) {
-        waiter->parker.cancel_park();
-        break;
-      }
-      if (pass_through_) {
-        waiter->parker.park();
-      } else {
-        waiter->parker.park_for(std::chrono::microseconds(1000));
-      }
-    } else {
-      // Slot-owning waiter parks on its scheduler eventcount slot, so
-      // producer wakes (new work published to this worker) reach it too —
-      // it surfaces, helps, and re-parks.  The completion notify routes
-      // through sched_notify -> Scheduler::notify_worker.
-      waiter->worker.store(scheduler_->current_worker(),
-                           std::memory_order_relaxed);
-      waiter->sched_notify.store(
-          [](void* s, unsigned i) {
-            static_cast<Scheduler*>(s)->notify_worker(i);
-          },
-          std::memory_order_relaxed);
-      waiter->sched.store(scheduler_.get(), std::memory_order_release);
-      scheduler_->park_worker_for_barrier(
-          [](void* ctx) { return (*static_cast<Done*>(ctx))(); }, &done,
-          pass_through_ ? std::chrono::microseconds(0)
-                        : std::chrono::microseconds(1000));
-    }
-  }
-  if (waiter != nullptr) {
-    if (wtask != nullptr) {
-      wtask->waiter.store(nullptr, std::memory_order_release);
-    } else if (wgroup != nullptr) {
-      wgroup->remove_intask_waiter(waiter);
-    }
-    waiter->sched.store(nullptr, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
 }
 
@@ -736,11 +671,9 @@ void Runtime::wait_all() {
     // In-task taskwait (OpenMP semantics): barrier over THIS task's
     // children only.  A global pending==0 barrier would count the waiting
     // task itself — and any sibling waiter — and never open.
-    help_until(
-        [self] {
-          return self->children.load(std::memory_order_acquire) == 0;
-        },
-        /*wtask=*/self);
+    help_until([self] {
+      return self->children.load(std::memory_order_acquire) == 0;
+    });
     rethrow_pending_error();
     return;
   }
@@ -803,8 +736,7 @@ void Runtime::wait_group(GroupId group) {
             "children and is safe here");
       }
     }
-    help_until([&g] { return g.pending() == 0; }, /*wtask=*/nullptr,
-               /*wgroup=*/&g);
+    help_until([&g] { return g.pending() == 0; });
     rethrow_pending_error();
     return;
   }
@@ -858,7 +790,6 @@ bool Runtime::begin_blocking() {
   // Only meaningful from inside a task body of this runtime: the handoff
   // trades the worker slot for a spare thread so the pool keeps its width
   // while this body blocks on something external.
-  if (!config_.event_wakeup) return false;
   if (tls_task_frame.runtime != this || tls_task_frame.task == nullptr) {
     return false;
   }

@@ -166,7 +166,7 @@ class Runtime final : public energy::ActivitySource, private IssueSink {
   /// returns true when a handoff happened.  One-way per episode: the
   /// thread re-pools when the task body unwinds, not when this returns.
   /// No-op (false) from non-worker threads, in inline mode, or when
-  /// event_wakeup/max_spare_threads disable the elastic pool.
+  /// max_spare_threads = 0 disables the elastic pool.
   bool begin_blocking();
 
   /// Elastic-pool counters (handoffs, spares, steal locality).
@@ -211,16 +211,13 @@ class Runtime final : public energy::ActivitySource, private IssueSink {
   void classify_at_dequeue(Task& task, unsigned worker);
   void spawn_impl(TaskOptions&& options, bool internal);
   /// Helping barrier core: runs/steals tasks on the calling thread until
-  /// `done()` holds.  With event_wakeup, a waiter that finds nothing
-  /// acquirable registers a BarrierWaiter on `wtask` (children scope) or
-  /// `wgroup` (quiescence scope) and parks — on its eventcount slot while
-  /// it owns one, on its Parker once it has handed the slot to a spare
-  /// (helping depth past the cap, or an enclosing begin_blocking()).  With
-  /// neither scope given — or event_wakeup off — it backs off by polling
-  /// (yield, then 50 µs sleeps), the PR-5 baseline.  Only entered from
-  /// inside a task body of this runtime.
+  /// `done()` holds.  A waiter that finds nothing acquirable backs off by
+  /// polling (up to 16 yields, then 50 µs sleeps, re-flushing a buffering
+  /// policy before each sleep).  A thread without a worker slot (helping
+  /// depth past the cap, or an enclosing begin_blocking()) only
+  /// sleep-polls.  Only entered from inside a task body of this runtime.
   template <typename Done>
-  void help_until(Done done, Task* wtask = nullptr, TaskGroup* wgroup = nullptr);
+  void help_until(Done done);
   /// Blocking barrier core (non-task threads), on wait_mutex_/wait_cv_:
   /// a pure wake-driven sleep under pass-through policies, a 1 ms timed
   /// loop re-flushing the policy under buffering ones — a task body may

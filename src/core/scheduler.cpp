@@ -753,8 +753,6 @@ bool Scheduler::owns_current_slot() const noexcept {
   return tls_scheduler == this && tls_owns_slot;
 }
 
-unsigned Scheduler::current_worker() const noexcept { return tls_worker; }
-
 bool Scheduler::current_worker_unreliable() const noexcept {
   return tls_scheduler == this && tls_owns_slot && is_unreliable(tls_worker);
 }
@@ -773,34 +771,6 @@ void Scheduler::run_now(Task* task) {
          "run_now requires a slot-owning worker");
   assert_enqueue_ok(*task);
   run_task(task, tls_worker);
-}
-
-bool Scheduler::park_worker_for_barrier(bool (*open)(void*), void* ctx,
-                                        std::chrono::microseconds timeout) {
-  if (tls_scheduler != this || !tls_owns_slot) return false;
-  const unsigned i = tls_worker;
-  // Two-phase park, with the BARRIER condition folded into the re-check:
-  // the completion side (last-child decrement / group quiescence) issues
-  // its fence before loading the waiter it notifies, so either our
-  // re-check sees the barrier open or the completer sees kWaiting and
-  // delivers the wake.  Producers publishing new work wake this slot the
-  // same way they wake an idle worker — a parked helper stays live for
-  // both events.
-  ec_.prepare_wait(i);
-  if (stopping_.load(std::memory_order_acquire) || open(ctx) ||
-      has_visible_work(i)) {
-    ec_.cancel_wait(i);
-    return false;
-  }
-  WorkerSlot& slot = *slots_[i];
-  slot.state.store(WorkerState::Sleeping, std::memory_order_relaxed);
-  if (timeout.count() > 0) {
-    ec_.commit_wait_for(i, timeout);
-  } else {
-    ec_.commit_wait(i);
-  }
-  slot.state.store(WorkerState::Scanning, std::memory_order_relaxed);
-  return true;
 }
 
 PoolStats Scheduler::pool_stats() const {

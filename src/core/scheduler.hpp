@@ -194,10 +194,6 @@ class Scheduler {
   /// detached worker is on_worker_thread() but not slot-owning).
   [[nodiscard]] bool owns_current_slot() const noexcept;
 
-  /// The calling thread's slot index; only meaningful when
-  /// owns_current_slot().
-  [[nodiscard]] unsigned current_worker() const noexcept;
-
   /// True when the calling thread owns a slot in the unreliable (NTC)
   /// range — the work-first inline throttle must not run Undecided tasks
   /// there.
@@ -212,18 +208,6 @@ class Scheduler {
   /// if it had been popped — dequeue hook, busy accounting, release.
   /// Caller must hold owns_current_slot().
   void run_now(Task* task);
-
-  /// Two-phase park on the calling worker's eventcount slot for a helping
-  /// barrier waiter: announces, re-checks `open(ctx)` plus visible work
-  /// plus shutdown, then blocks (bounded by `timeout` unless zero).
-  /// Returns false without parking when the re-check fired or the caller
-  /// is not a slot-owning worker.  Producers wake the slot on new work as
-  /// usual; the barrier's completion side wakes it via notify_worker.
-  bool park_worker_for_barrier(bool (*open)(void*), void* ctx,
-                               std::chrono::microseconds timeout);
-
-  /// Wake worker slot `i` if parked (barrier-completion wakeups).
-  void notify_worker(unsigned i) noexcept { ec_.notify(i); }
 
   /// Elastic-pool and steal-locality counters.
   [[nodiscard]] PoolStats pool_stats() const;

@@ -29,7 +29,6 @@ namespace sigrt {
 
 class Task;
 class TaskRef;
-struct BarrierWaiter;  // core/parker.hpp
 
 /// Pool behind make_task(): per-thread freelists, MPSC remote-free return.
 using TaskPool = support::SlabPool<Task>;
@@ -85,15 +84,6 @@ class Task final : public dep::Node, public support::PoolSlot<Task> {
   /// so every child's side effects are visible when the barrier opens.
   std::atomic<std::uint32_t> children{0};
 
-  /// Event-driven taskwait: the (single) thread blocked in this task's
-  /// in-task taskwait parks behind this handle.  The completing side of the
-  /// last child reads it after its `children` decrement (Dekker pairing
-  /// with the waiter's register-then-recheck) and calls notify().  Handles
-  /// are pooled immortally (core/parker.hpp), so a stale notify racing a
-  /// waiter's retirement touches live memory and is at worst a spurious
-  /// wake.
-  std::atomic<BarrierWaiter*> waiter{nullptr};
-
   /// Classification result.  Written exactly once before the task becomes
   /// runnable (GTB/Oracle) or at dequeue time on the executing worker (LQH),
   /// then read only by that worker — no concurrent access in either case.
@@ -142,7 +132,6 @@ class Task final : public dep::Node, public support::PoolSlot<Task> {
     has_footprint = false;
     parent = nullptr;
     children.store(0, std::memory_order_relaxed);
-    waiter.store(nullptr, std::memory_order_relaxed);
     kind = ExecutionKind::Undecided;
     gate.store(0, std::memory_order_relaxed);
     next_ready = nullptr;

@@ -83,19 +83,10 @@ struct RuntimeConfig {
 
   // --- elastic pool & barriers (PR 8) ------------------------------------
 
-  /// Event-driven barrier wakeup: in-task taskwait waiters that find no
-  /// acquirable work park on their eventcount slot and are woken by the
-  /// last-child completion (or group quiescence), and helping past the
-  /// depth cap hands the worker slot to a spare thread and blocks.  false
-  /// restores the PR-5 behaviour — pure yield/50 µs polling, no depth cap,
-  /// no spares — kept selectable as the A/B baseline for the barrier
-  /// latency bench.
-  bool event_wakeup = true;
-
   /// Per-thread helping-depth cap: an in-task barrier nested deeper than
   /// this many helping frames stops helping (C++ stack depth tracks
-  /// helping depth) and blocks after handing its deque to a spare thread.
-  /// Ignored when event_wakeup is false.
+  /// helping depth) and sleep-polls after handing its worker slot to a
+  /// spare thread.  Has no effect when max_spare_threads is 0.
   unsigned helping_depth = 16;
 
   /// Upper bound on spare threads the scheduler may run beyond `workers`.

@@ -5,8 +5,12 @@
 //   * RaplMeter   — reads the Linux powercap sysfs interface when present.
 //   * ModelMeter  — a calibrated activity-based model of the paper's machine,
 //                   used when RAPL is unavailable (e.g. containers, non-Intel
-//                   hosts).  See DESIGN.md §2 for why the substitution
-//                   preserves the paper's relative results.
+//                   hosts).  The paper reports energy relative to the
+//                   accurate run on the same machine, and the model's
+//                   wall-time and busy-time terms (energy/model.hpp) are
+//                   the two effects approximation changes, so those
+//                   ratios survive the substitution; absolute joules
+//                   do not.
 // Both expose one cumulative counter so measurement scopes are identical
 // regardless of backend.
 #pragma once

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <thread>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <x86intrin.h>
@@ -55,10 +56,10 @@ class Stopwatch {
 /// clock_gettime costs ~20-25 ns; two of them per task (enter/exit) were
 /// ~10% of the scheduler's per-task budget.  now() is a raw TSC read
 /// (~5 ns); readers convert accumulated cycle deltas to nanoseconds with
-/// to_ns(), which calibrates the TSC rate lazily against the monotonic
-/// clock over the interval since process start — conversion happens on the
-/// cold stats path, never per task.  Non-x86 builds fall back to now_ns()
-/// (cycles are then nanoseconds, ratio 1).
+/// to_ns(), which calibrates the TSC rate once against the monotonic
+/// clock — conversion happens on the cold stats path, never per task.
+/// Non-x86 builds fall back to now_ns() (cycles are then nanoseconds,
+/// ratio 1).
 class CycleClock {
  public:
   [[nodiscard]] static std::uint64_t now() noexcept {
@@ -78,10 +79,9 @@ class CycleClock {
     return end >= start ? end - start : 0;
   }
 
-  /// Converts a cycle delta to nanoseconds.  Accuracy improves with the
-  /// length of the calibration window (the process lifetime so far); the
-  /// first call within ~1 ms of startup may be coarse, which only affects
-  /// diagnostic stats read that early.
+  /// Converts a cycle delta to nanoseconds at a rate that never changes
+  /// after the first call, so converting a growing cycle count yields a
+  /// growing duration.
   [[nodiscard]] static std::int64_t to_ns(std::uint64_t cycles) noexcept {
 #if defined(__x86_64__) || defined(__i386__)
     const double r = ns_per_cycle();
@@ -92,13 +92,51 @@ class CycleClock {
   }
 
  private:
+  /// Calibration window: the rate is measured over at least this much
+  /// time since process start, then frozen.  A first conversion earlier
+  /// than that sleeps out the remainder once.
+  static constexpr std::int64_t kCalibrationNs = 20'000'000;
+
+  struct Sample {
+    std::int64_t ns;
+    std::uint64_t cycles;
+  };
+
+  /// One (clock, TSC) pair: the TSC read is bracketed by two clock reads
+  /// and the tightest of a few tries is kept, so a preemption between the
+  /// reads cannot skew the frozen rate.
+  [[nodiscard]] static Sample sample() noexcept {
+    Sample best{0, 0};
+    std::int64_t best_gap = -1;
+    for (int i = 0; i < 4; ++i) {
+      const std::int64_t before = now_ns();
+      const std::uint64_t cycles = now();
+      const std::int64_t gap = now_ns() - before;
+      if (best_gap < 0 || gap < best_gap) {
+        best_gap = gap;
+        best = {before + gap / 2, cycles};
+      }
+    }
+    return best;
+  }
+
+  // Process-start anchor (static initialization, not first use), so the
+  // window has usually elapsed by the first stats read.
+  static inline const Sample start_ = sample();
+
   [[nodiscard]] static double ns_per_cycle() noexcept {
-    static const std::int64_t anchor_ns = now_ns();
-    static const std::uint64_t anchor_cycles = now();
-    const std::int64_t dn = now_ns() - anchor_ns;
-    const std::uint64_t dc = now() - anchor_cycles;
-    if (dc == 0 || dn <= 0) return 1.0;
-    return static_cast<double>(dn) / static_cast<double>(dc);
+    static const double rate = [] {
+      const std::int64_t left = start_.ns + kCalibrationNs - now_ns();
+      if (left > 0) {
+        std::this_thread::sleep_for(std::chrono::nanoseconds(left));
+      }
+      const Sample end = sample();
+      const std::int64_t dn = end.ns - start_.ns;
+      const std::uint64_t dc = end.cycles - start_.cycles;
+      if (dc == 0 || dn <= 0) return 1.0;
+      return static_cast<double>(dn) / static_cast<double>(dc);
+    }();
+    return rate;
   }
 };
 

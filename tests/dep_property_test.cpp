@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <barrier>
 #include <bit>
 #include <chrono>
 #include <map>
@@ -309,7 +310,10 @@ struct OracleParams {
 };
 
 // T threads register/complete overlapping random footprints directly
-// against one tracker.  Checked properties:
+// against one tracker, in lock-step: at each step every thread registers
+// one node, and no node of the step executes or completes until all of the
+// step's nodes are registered.  Every conflicting pair within a step thus
+// yields its edge regardless of thread timing.  Checked properties:
 //   * conflict exclusion — two tasks whose footprints conflict at block
 //     granularity never execute concurrently (per-block writer/reader
 //     occupancy counters);
@@ -343,15 +347,11 @@ TEST_P(DepConcurrentOracle, ConflictExclusionEdgeAndRefBalance) {
   std::atomic<std::uint64_t> deps_handed{0};
   std::atomic<bool> stuck{false};
 
-  std::atomic<unsigned> start_gate{0};
+  // Per-step rendezvous between registration and execution.  A thread
+  // that gives up on a stuck gate drops out so the others cannot hang.
+  std::barrier step_registered(static_cast<std::ptrdiff_t>(p.threads));
 
   auto worker = [&](unsigned tid) {
-    // Rendezvous so every thread's work window overlaps (a lone thread
-    // racing ahead would make the exclusion check vacuous).
-    start_gate.fetch_add(1, std::memory_order_acq_rel);
-    while (start_gate.load(std::memory_order_acquire) < p.threads) {
-      std::this_thread::yield();
-    }
     sigrt::support::Xoshiro256 rng(p.seed * 977 + tid);
     std::vector<Node*> out;
     for (std::size_t i = 0; i < p.nodes_per_thread; ++i) {
@@ -390,10 +390,7 @@ TEST_P(DepConcurrentOracle, ConflictExclusionEdgeAndRefBalance) {
       deps_found.fetch_add(deps, std::memory_order_relaxed);
       node.gate.fetch_sub(kHold - static_cast<std::uint32_t>(deps),
                           std::memory_order_acq_rel);
-      // On a single-CPU box threads only interleave at yield points; one
-      // here (between register and execute) maximizes the window in which
-      // another thread must observe this node's parked pins.
-      std::this_thread::yield();
+      step_registered.arrive_and_wait();
 
       const auto spin_start = std::chrono::steady_clock::now();
       while (node.gate.load(std::memory_order_acquire) != 0) {
@@ -401,6 +398,7 @@ TEST_P(DepConcurrentOracle, ConflictExclusionEdgeAndRefBalance) {
         if (std::chrono::steady_clock::now() - spin_start >
             std::chrono::seconds(60)) {
           stuck.store(true, std::memory_order_relaxed);
+          step_registered.arrive_and_drop();
           return;  // cycle / lost wakeup: fail below instead of hanging
         }
       }
@@ -456,9 +454,8 @@ TEST_P(DepConcurrentOracle, ConflictExclusionEdgeAndRefBalance) {
     EXPECT_EQ(nodes[i].gate.load(), 0u);
   }
   // The small arena must actually produce cross-thread edges, or the
-  // exclusion check is vacuous.  The floor is loose: how often threads
-  // catch each other in flight depends on the scheduler (and on TSan's
-  // slowdown), not just on the arena.
+  // exclusion check is vacuous.  With the per-step rendezvous the edge
+  // count depends on the seeded footprints, not on thread timing.
   EXPECT_GT(deps_found.load(), total / 8);
 }
 

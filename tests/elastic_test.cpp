@@ -91,9 +91,9 @@ TEST(ElasticPool, BeginBlockingIsANoOpOffWorkerAndWhenDisabled) {
     EXPECT_FALSE(rt.begin_blocking());  // not a task body: nothing to hand off
   }
   {
-    // event_wakeup=false is the strict PR-5 baseline: no spares at all.
+    // max_spare_threads=0 disables the elastic pool: no spares at all.
     RuntimeConfig c = pool_config(2);
-    c.event_wakeup = false;
+    c.max_spare_threads = 0;
     Runtime rt(c);
     std::atomic<bool> detached{true};
     rt.spawn(sigrt::task([&] { detached.store(rt.begin_blocking()); }));

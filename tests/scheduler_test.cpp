@@ -149,6 +149,14 @@ TEST(Scheduler, BusyTimeAccumulates) {
     }));
   }
   while (runs.load() < 8) std::this_thread::yield();
+  // `executed` is bumped after the execute callback returns, so it can
+  // trail `runs` briefly: poll for convergence before asserting it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (s.stats().executed < 8u &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
   EXPECT_GT(s.busy_ns(), 0);
   EXPECT_EQ(s.stats().executed, 8u);
 }

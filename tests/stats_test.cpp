@@ -2,8 +2,10 @@
 // diagnostic dump facility.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "core/sigrt.hpp"
 
@@ -79,6 +81,44 @@ TEST(Stats, BusyAndWallTimesAdvance) {
   const auto s = rt.stats();
   EXPECT_GT(s.busy_s, 0.0);
   EXPECT_GE(s.wall_s, s.busy_s * 0.5);  // wall includes busy (inline mode)
+}
+
+TEST(Stats, BusyTimeNeverRunsBackwards) {
+  // Busy time is accumulated in TSC cycles and converted on read; the
+  // conversion rate must not drift between reads, or a later snapshot of a
+  // larger cycle count can report less time than an earlier one.  Most
+  // back-to-back reads see no new completion, so any rate drift shows.
+  RuntimeConfig c;
+  c.workers = 2;
+  c.policy = PolicyKind::Agnostic;
+  c.record_task_log = false;
+  Runtime rt(c);
+  std::atomic<bool> stop{false};
+  std::thread spawner([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (int i = 0; i < 64; ++i) {
+        rt.spawn(sigrt::task([] {
+          volatile double x = 1.0;
+          for (int k = 0; k < 2000; ++k) x = x * 1.0000001 + 0.1;
+        }));
+      }
+      rt.wait_all();
+    }
+  });
+  double prev_stats = 0.0;
+  double prev_activity = 0.0;
+  for (int i = 0; i < 200000; ++i) {
+    const double busy = rt.stats().busy_s;
+    ASSERT_GE(busy, prev_stats) << "stats().busy_s decreased at read " << i;
+    prev_stats = busy;
+    const double activity = rt.activity_now().busy_s;
+    ASSERT_GE(activity, prev_activity)
+        << "activity_now().busy_s decreased at read " << i;
+    prev_activity = activity;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  spawner.join();
+  EXPECT_GT(prev_stats, 0.0);
 }
 
 TEST(Stats, PolicyNameMatchesConfig) {
