@@ -2,7 +2,7 @@
 // carries an in()/out() footprint and the dependence tracker is on the
 // critical path.
 //
-// Two workload shapes, chosen to stress the two tracker extremes:
+// Three workload shapes, chosen to stress the tracker's extremes:
 //
 //   * chain — C independent chains, each task inout() on its chain's
 //     private block: pure pipeline parallelism, one predecessor per task,
@@ -11,19 +11,25 @@
 //     four halo neighbours (in) and updates its own tile (inout), the
 //     jacobi/fluidanimate dependence pattern: 5-block footprints, RAW +
 //     WAR + WAW edges crossing stripe boundaries.
+//   * wide_read — the paper's Listing 1: every task reads one whole shared
+//     array (in) and writes its own disjoint band of an output (out); one
+//     writer per wave rewrites the array (the next frame).  Footprints of
+//     a thousand blocks, so the cost is the tracker's per-access work.
 //
-// Each shape runs at 1/4/8 workers.  Like micro_spawn, the driver counts
-// heap allocations through an instrumented global operator new and warms
-// up until a full round allocates nothing, so the steady-state
-// allocs-per-task column gates the tracker's reset-not-free contract for
-// small (<= 8-block) footprints.  Output is one JSON line
+// Each shape runs at 1/4/8 workers, clamped to the host's CPUs.  Like
+// micro_spawn, the driver counts heap allocations through an instrumented
+// global operator new and warms up until a full round allocates nothing,
+// so the steady-state allocs-per-task column gates the tracker's
+// reset-not-free contract.  Output is one JSON line
 // (BENCH_micro_deps.json in CI); any CLI arguments are accepted and
 // ignored for harness compatibility.
+#include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "core/sigrt.hpp"
@@ -138,6 +144,28 @@ std::uint64_t stencil_round(sigrt::Runtime& rt, std::vector<Cell>& cells) {
   return kSweeps * kGrid * kGrid;
 }
 
+// Listing 1: a frame writer, then one task per output band reading the
+// whole frame; a barrier closes each wave.
+constexpr std::size_t kWideIn = 1024;  // cells (= blocks) in the frame
+constexpr std::size_t kWideBands = 64;
+constexpr std::size_t kWideBand = 4;  // output cells per band
+constexpr std::size_t kWideWaves = 16;
+
+std::uint64_t wide_read_round(sigrt::Runtime& rt, std::vector<Cell>& cells) {
+  Cell* frame = cells.data();
+  Cell* out = frame + kWideIn;
+  for (std::size_t w = 0; w < kWideWaves; ++w) {
+    rt.spawn(sigrt::task([] {}).out(frame, kWideIn));
+    for (std::size_t b = 0; b < kWideBands; ++b) {
+      rt.spawn(sigrt::task([] {})
+                   .in(static_cast<const Cell*>(frame), kWideIn)
+                   .out(out + b * kWideBand, kWideBand));
+    }
+    rt.wait_all();
+  }
+  return kWideWaves * (kWideBands + 1);
+}
+
 template <typename Round>
 DepRecord measure(const char* shape, unsigned workers, std::size_t cell_count,
                   Round round, int max_warmup) {
@@ -183,12 +211,21 @@ DepRecord measure(const char* shape, unsigned workers, std::size_t cell_count,
 
 int main(int, char**) {
   constexpr unsigned kWorkerSweep[] = {1, 4, 8};
+  // More workers than CPUs only measures the oversubscription; the sweep
+  // is clamped to the host and a count already measured is skipped.
+  const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
   std::vector<DepRecord> records;
-  for (unsigned w : kWorkerSweep) {
+  unsigned last = 0;
+  for (unsigned sweep : kWorkerSweep) {
+    const unsigned w = std::min(sweep, cpus);
+    if (w == last) continue;
+    last = w;
     records.push_back(measure("chain", w, kChains, chain_round,
                               /*max_warmup=*/6));
     records.push_back(measure("stencil", w, kGrid * kGrid, stencil_round,
                               /*max_warmup=*/6));
+    records.push_back(measure("wide_read", w, kWideIn + kWideBands * kWideBand,
+                              wide_read_round, /*max_warmup=*/6));
   }
 
   std::printf("{\"bench\":\"micro_deps\",\"block_bytes\":%zu,\"cells\":[",

@@ -155,8 +155,18 @@ void TaskGroup::reset_stats() {
   dropped_.store(0, std::memory_order_relaxed);
   redone_.store(0, std::memory_order_relaxed);
   corrupted_detected_.store(0, std::memory_order_relaxed);
+  // Size every shard that logged anything for the whole period's total:
+  // the next period's completions then append without allocating however
+  // the workers split them, and any growth happens here, off the
+  // completion path.
+  std::size_t total = 0;
   for (LogShard& shard : log_shards_) {
     support::MutexLock lock(shard.mutex);
+    total += shard.log.size();
+  }
+  for (LogShard& shard : log_shards_) {
+    support::MutexLock lock(shard.mutex);
+    if (!shard.log.empty()) shard.log.reserve(total);
     shard.log.clear();
     shard.requested_mass = 0.0;
   }

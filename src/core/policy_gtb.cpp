@@ -12,56 +12,61 @@ GtbPolicy::GtbPolicy(std::size_t buffer_capacity, bool max_buffer)
     : capacity_(max_buffer ? SIZE_MAX : std::max<std::size_t>(1, buffer_capacity)),
       max_buffer_(max_buffer) {}
 
-void GtbPolicy::on_spawn(const TaskPtr& task, IssueSink& sink) {
-  // Buffer under the lock; classify a full window outside it (see the
-  // header's thread-safety note).  The moved-from vector stays in the map
-  // with its capacity released — the next spawn re-grows it, which is the
-  // same cost profile as the clear() of the single-spawner era.
-  std::vector<TaskPtr> window;
-  {
-    support::MutexLock lock(mutex_);
-    auto& buffer = buffers_[task->group];
-    buffer.push_back(task);
-    if (buffer.size() >= capacity_) {
-      window = std::move(buffer);
-      buffer.clear();
-    }
-  }
-  if (window.empty()) return;
-  classify_and_release(task->group, window, sink);  // leaves window cleared
-  // Return the window's storage to the map slot so the next fill does not
-  // re-grow a capacity-0 vector — on_spawn is the spawn hot path and the
-  // steady state should not cycle the allocator once per window.  Skip if
-  // concurrent spawns already repopulated (or re-grew) the slot.
-  support::MutexLock lock(mutex_);
-  auto& buffer = buffers_[task->group];
-  if (buffer.empty() && buffer.capacity() < window.capacity()) {
-    buffer.swap(window);
+void GtbPolicy::take(Window& window, std::vector<TaskPtr>& out) {
+  out.swap(window.tasks);
+  if (!spares_.empty()) {
+    window.tasks.swap(spares_.back());
+    spares_.pop_back();
   }
 }
 
-void GtbPolicy::flush(GroupId group, IssueSink& sink) {
-  // Move every targeted window out under the lock, then classify/release
-  // without it.  A spawn racing the barrier may land after the move and
-  // stay buffered for the next flush — the same task is never released
-  // twice, and the flushing thread's own spawns (which happened-before its
-  // barrier) are always included.
-  std::vector<std::pair<GroupId, std::vector<TaskPtr>>> taken;
+void GtbPolicy::on_spawn(const TaskPtr& task, IssueSink& sink) {
+  // Buffer under the lock; classify a full window outside it (see the
+  // header's thread-safety note).
+  std::vector<TaskPtr> window;
   {
     support::MutexLock lock(mutex_);
-    if (group == kAllGroups) {
-      for (auto& [gid, window] : buffers_) {
-        if (window.empty()) continue;
-        taken.emplace_back(gid, std::move(window));
-        window.clear();
-      }
-    } else if (auto it = buffers_.find(group);
-               it != buffers_.end() && !it->second.empty()) {
-      taken.emplace_back(group, std::move(it->second));
-      it->second.clear();
-    }
+    Window& buffer = buffers_[task->group];
+    buffer.tasks.push_back(task);
+    if (buffer.tasks.size() >= capacity_) take(buffer, window);
   }
-  for (auto& [gid, window] : taken) classify_and_release(gid, window, sink);
+  if (window.empty()) return;
+  classify_and_release(task->group, window, sink);  // leaves window cleared
+  support::MutexLock lock(mutex_);
+  spares_.push_back(std::move(window));
+}
+
+void GtbPolicy::flush(GroupId group, IssueSink& sink) {
+  // Take one targeted window at a time under the lock, then classify and
+  // release it without the lock.  Each window is taken at most once per
+  // call (its `flushed` pass), so spawns racing the barrier cannot keep a
+  // flush looping; one that lands after its window was taken stays
+  // buffered for the next flush.  The same task is never released twice,
+  // and the flushing thread's own spawns (which happened-before its
+  // barrier) are always included.
+  std::vector<TaskPtr> window;
+  std::uint64_t pass = 0;
+  for (;;) {
+    GroupId gid = group;
+    {
+      support::MutexLock lock(mutex_);
+      if (window.capacity() != 0) spares_.push_back(std::move(window));
+      if (pass == 0) pass = ++flush_passes_;
+      Window* next = nullptr;
+      for (auto& [id, w] : buffers_) {
+        if ((group == kAllGroups || id == group) && !w.tasks.empty() &&
+            w.flushed != pass) {
+          gid = id;
+          next = &w;
+          break;
+        }
+      }
+      if (next == nullptr) return;
+      next->flushed = pass;
+      take(*next, window);
+    }
+    classify_and_release(gid, window, sink);
+  }
 }
 
 void GtbPolicy::classify_and_release(GroupId group, std::vector<TaskPtr>& window,
@@ -69,12 +74,16 @@ void GtbPolicy::classify_and_release(GroupId group, std::vector<TaskPtr>& window
   if (window.empty()) return;
   const double ratio = sink.group_ref(group).ratio();
 
-  // Stable sort by decreasing significance: ties keep spawn order, which
-  // makes GTB fully deterministic (§4.2 relies on this for Kmeans).
-  std::stable_sort(window.begin(), window.end(),
-                   [](const TaskPtr& a, const TaskPtr& b) {
-                     return a->significance > b->significance;
-                   });
+  // Sort by decreasing significance, ties in spawn (id) order, which makes
+  // GTB fully deterministic (§4.2 relies on this for Kmeans).  Ids are
+  // unique, so an in-place std::sort gives the stable order without
+  // std::stable_sort's temporary buffer — a heap allocation per window.
+  std::sort(window.begin(), window.end(),
+            [](const TaskPtr& a, const TaskPtr& b) {
+              return a->significance != b->significance
+                         ? a->significance > b->significance
+                         : a->id < b->id;
+            });
 
   // Listing 4: `if (i < group_ratio * task_count) issue_accurate_task(...)`.
   const double quota = ratio * static_cast<double>(window.size());
@@ -94,8 +103,8 @@ void GtbPolicy::classify_and_release(GroupId group, std::vector<TaskPtr>& window
   // whole window goes out as one bulk release: the runtime turns it into a
   // single batched scheduler enqueue (one publish per target queue instead
   // of one per task).
-  std::stable_sort(window.begin(), window.end(),
-                   [](const TaskPtr& a, const TaskPtr& b) { return a->id < b->id; });
+  std::sort(window.begin(), window.end(),
+            [](const TaskPtr& a, const TaskPtr& b) { return a->id < b->id; });
   sink.release_bulk(window);
   window.clear();
 }

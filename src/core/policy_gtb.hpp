@@ -8,14 +8,17 @@
 //
 // Thread safety (the any-thread spawn contract): the per-group windows are
 // guarded by one mutex, held only while mutating the buffers — a window
-// that fills or flushes is MOVED out under the lock and classified/released
-// outside it, so concurrent spawners never serialize behind a sort, two
-// barriers flushing concurrently each release a disjoint window exactly
-// once, and a release that executes inline (zero-worker mode) can
-// recursively spawn into this policy without self-deadlock.
+// that fills or flushes is SWAPPED out under the lock (the map slot takes
+// a drained spare's storage in exchange) and classified/released outside
+// it, so concurrent spawners never serialize behind a sort, two barriers
+// flushing concurrently each release a disjoint window exactly once, and a
+// release that executes inline (zero-worker mode) can recursively spawn
+// into this policy without self-deadlock.  Drained windows return to the
+// spare list with their capacity, so the steady state never regrows one.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -48,12 +51,23 @@ class GtbPolicy : public Policy {
   void classify_and_release(GroupId group, std::vector<TaskPtr>& window,
                             IssueSink& sink);
 
+  struct Window {
+    std::vector<TaskPtr> tasks;
+    std::uint64_t flushed = 0;  ///< last flush pass that drained it
+  };
+
+  /// Swaps `window`'s tasks into `out` (empty) and refills the slot's
+  /// storage from the spare list.
+  void take(Window& window, std::vector<TaskPtr>& out) SIGRT_REQUIRES(mutex_);
+
   const std::size_t capacity_;
   const bool max_buffer_;
-  // Guards buffers_ only; classification runs on moved-out windows.
+  // Guards the windows only; classification runs on swapped-out windows.
   support::Mutex mutex_;
-  std::unordered_map<GroupId, std::vector<TaskPtr>> buffers_
-      SIGRT_GUARDED_BY(mutex_);
+  std::unordered_map<GroupId, Window> buffers_ SIGRT_GUARDED_BY(mutex_);
+  /// Drained window storage awaiting reuse (empty, capacity kept).
+  std::vector<std::vector<TaskPtr>> spares_ SIGRT_GUARDED_BY(mutex_);
+  std::uint64_t flush_passes_ SIGRT_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace sigrt

@@ -39,8 +39,8 @@ std::uint64_t BlockTracker::stripe_mask(std::uint64_t lo,
                                         std::uint64_t hi) const noexcept {
   if (hi - lo + 1 >= stripe_count_) return all_stripes_mask_;
   std::uint64_t mask = 0;
-  for (std::uint64_t b = lo; b <= hi; ++b) {
-    mask |= std::uint64_t{1} << stripe_of(b);
+  for (std::uint64_t c = lo; c <= hi; ++c) {
+    mask |= std::uint64_t{1} << stripe_of(c);
   }
   return mask;
 }
@@ -81,6 +81,30 @@ bool BlockTracker::link(Node* pred, Node* succ, std::uint64_t stamp) {
   return added;
 }
 
+void BlockTracker::split(Chunk& chunk, unsigned pos, const Node* self,
+                         std::int64_t& parks) {
+  if (pos >= kChunkBlocks || ((chunk.starts >> pos) & 1) != 0) return;
+  chunk.starts |= std::uint64_t{1} << pos;
+  // Slots off a run start are always empty, so an empty run splits
+  // without a copy.
+  const RunState& src = chunk.runs[run_start(chunk.starts, pos - 1)];
+  if (src.empty()) return;
+  RunState& run = chunk.runs[pos];
+  run = src;
+  // Each copied slot is a new pin of a node that is already pinned here
+  // (so its count is above zero); the registering node's own slots are
+  // not published yet and go into the registration's local count.
+  auto pin = [&](Node* n) {
+    if (n == self) {
+      ++parks;
+    } else {
+      n->pin_count_.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  if (run.last_writer != nullptr) pin(run.last_writer);
+  run.for_each_reader(pin);
+}
+
 std::size_t BlockTracker::register_node(Node* node,
                                         std::span<const Access> accesses) {
   // Stamps are process-unique (never reused, never 0), so concurrent
@@ -94,7 +118,8 @@ std::size_t BlockTracker::register_node(Node* node,
   std::uint64_t mask = 0;
   for (const Access& a : accesses) {
     if (a.ptr == nullptr || a.bytes == 0) continue;
-    mask |= stripe_mask(first_block(a.ptr), last_block(a.ptr, a.bytes));
+    mask |= stripe_mask(first_block(a.ptr) / kChunkBlocks,
+                        last_block(a.ptr, a.bytes) / kChunkBlocks);
   }
   if (mask == 0) return 0;
 
@@ -104,67 +129,66 @@ std::size_t BlockTracker::register_node(Node* node,
   lock_stripes(mask);
 
   std::size_t predecessors = 0;
-  std::uint64_t new_edges = 0;
   std::int64_t parks = 0;
+  auto link_pred = [&](Node* pred) {
+    if (link(pred, node, stamp)) ++predecessors;
+  };
   for (const Access& a : accesses) {
     if (a.ptr == nullptr || a.bytes == 0) continue;
-    const std::uint64_t lo = first_block(a.ptr);
-    const std::uint64_t hi = last_block(a.ptr, a.bytes);
-    for (std::uint64_t b = lo; b <= hi; ++b) {
-      Stripe& stripe = stripes_[stripe_of(b)];
+    const BlockRange range{first_block(a.ptr), last_block(a.ptr, a.bytes)};
+    node->touched_ranges_.push_back(range);
+    for (std::uint64_t c = range.lo / kChunkBlocks;
+         c <= range.hi / kChunkBlocks; ++c) {
+      Stripe& stripe = stripes_[stripe_of(c)];
       bool inserted = false;
-      BlockState& state = stripe.map.get_or_insert(b, inserted);
-      if (inserted) ++stripe.blocks_ever;
+      Chunk& chunk = stripe.map.get_or_insert(c, inserted);
+      if (!chunk.runs) chunk.runs = std::make_unique<RunState[]>(kChunkBlocks);
+      const auto [first, last] = chunk_span(c, range);
+      const std::uint64_t bits = (~std::uint64_t{0} >> (63u - last)) &
+                                 (~std::uint64_t{0} << first);
+      stripe.blocks_ever += static_cast<std::uint64_t>(
+          std::popcount(bits & ~chunk.seen));
+      chunk.seen |= bits;
+      split(chunk, first, node, parks);
+      split(chunk, last + 1, node, parks);
 
-      if (reads(a.mode)) {
-        // RAW: reader after writer.
-        if (link(state.last_writer, node, stamp)) {
-          ++predecessors;
-          ++new_edges;
+      for (unsigned s = first; s <= last; s = run_end(chunk.starts, s)) {
+        RunState& run = chunk.runs[s];
+        if (reads(a.mode)) link_pred(run.last_writer);  // RAW
+        if (!writes(a.mode)) {
+          run.add_reader(node);
+          ++parks;
+          continue;
         }
-      }
-      if (writes(a.mode)) {
-        // WAW: writer after writer.
-        if (link(state.last_writer, node, stamp)) {
-          ++predecessors;
-          ++new_edges;
-        }
+        link_pred(run.last_writer);  // WAW
         // WAR: writer after readers — link each, then drop its pin.  A
         // reader pin parked by an earlier access of this same registration
         // is displaced by adjusting the local park count, not the shared
         // reference.
-        state.for_each_reader([&](Node* r) {
+        run.for_each_reader([&](Node* r) {
           if (r == node) {
             --parks;
             return;
           }
-          if (link(r, node, stamp)) {
-            ++predecessors;
-            ++new_edges;
-          }
+          link_pred(r);
           unpin(r);
         });
-        state.clear_readers();
+        run.clear_readers();
         // A later write clause of this same registration may find the node
-        // already parked as this block's writer; the existing pin stands
+        // already parked as this run's writer; the existing pin stands
         // (unpin here would transiently underflow the not-yet-published
         // pin count).
-        if (state.last_writer != node) {
-          if (state.last_writer != nullptr) unpin(state.last_writer);
-          state.last_writer = node;
+        if (run.last_writer != node) {
+          if (run.last_writer != nullptr) unpin(run.last_writer);
+          run.last_writer = node;
           ++parks;
-          node->touched_blocks_.push_back(b);
         }
-      } else {
-        state.add_reader(node);
-        ++parks;
-        node->touched_blocks_.push_back(b);
       }
     }
   }
 
-  // One retained reference backs every pin of this registration; the pin
-  // count is published before the stripe locks drop, so any later
+  // One retained reference backs every pin of this node; the pin count is
+  // published before the stripe locks drop, so any later split or
   // displacement finds it in place.
   if (parks > 0) {
     node->ref_retain();
@@ -173,8 +197,32 @@ std::size_t BlockTracker::register_node(Node* node,
   }
 
   unlock_stripes(mask);
-  if (new_edges != 0) edges_.fetch_add(new_edges, std::memory_order_relaxed);
+  if (predecessors != 0) {
+    edges_.fetch_add(predecessors, std::memory_order_relaxed);
+  }
   return predecessors;
+}
+
+void BlockTracker::unpark(Chunk& chunk, unsigned a, unsigned b,
+                          Node& node) noexcept {
+  for (unsigned s = run_start(chunk.starts, a); s <= b;
+       s = run_end(chunk.starts, s)) {
+    RunState& run = chunk.runs[s];
+    if (run.last_writer == &node) {
+      run.last_writer = nullptr;
+      unpin(&node);
+    }
+    // Parked once per covering access at most, and one visit per access.
+    if (run.remove_reader(&node)) unpin(&node);
+    if (!run.empty()) continue;
+    const unsigned next = run_end(chunk.starts, s);
+    if (next < kChunkBlocks && chunk.runs[next].empty()) {
+      chunk.starts &= ~(std::uint64_t{1} << next);
+    }
+    if (s != 0 && chunk.runs[run_start(chunk.starts, s - 1)].empty()) {
+      chunk.starts &= ~(std::uint64_t{1} << s);
+    }
+  }
 }
 
 void BlockTracker::complete(Node& node, std::vector<Node*>& out) {
@@ -190,73 +238,29 @@ void BlockTracker::complete(Node& node, std::vector<Node*>& out) {
   node.dependents_.clear();
   node.dep_lock_.unlock();
 
-  // Phase 2 — unpin: drop every block-map pin still naming this node, one
-  // stripe at a time, so the tracker holds no pointer to it afterwards
-  // (pooled tasks recycle promptly; plain test nodes may be destroyed).
-  // touched_blocks_ may hold duplicates and blocks where the pin was
-  // already displaced by a later writer — both are no-ops here.  A
-  // registration that meanwhile finds a still-parked pin sees done_ and
-  // links nothing.
-  if (node.touched_blocks_.empty()) return;
-  std::uint64_t mask = 0;
-  for (const std::uint64_t b : node.touched_blocks_) {
-    mask |= std::uint64_t{1} << stripe_of(b);
-  }
-  for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-    const auto s = static_cast<unsigned>(std::countr_zero(m));
-    Stripe& stripe = stripes_[s];
-    stripe.lock.lock();
-    for (const std::uint64_t b : node.touched_blocks_) {
-      if (stripe_of(b) != s) continue;
-      BlockState* state = stripe.map.find(b);
-      if (state == nullptr) continue;  // reset() dropped the block
-      if (state->last_writer == &node) {
-        state->last_writer = nullptr;
-        unpin(&node);
-      }
-      // Parked at most once per block per role.
-      if (state->remove_reader(&node)) unpin(&node);
-    }
-    stripe.lock.unlock();
-  }
-  node.touched_blocks_.clear();
-}
-
-std::vector<Node*> BlockTracker::pending_writers(const void* ptr,
-                                                 std::size_t bytes) {
-  std::vector<Node*> result;
-  if (ptr == nullptr || bytes == 0) return result;
-  const std::uint64_t stamp = stamp_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t lo = first_block(ptr);
-  const std::uint64_t hi = last_block(ptr, bytes);
-  // One linear pass over the range, re-locking only when the block's
-  // stripe changes.  At most one stripe lock is held at a time, so the
-  // visit order (block order, not ascending stripe order) cannot deadlock.
-  Stripe* locked = nullptr;
-  for (std::uint64_t b = lo; b <= hi; ++b) {
-    Stripe& stripe = stripes_[stripe_of(b)];
-    if (&stripe != locked) {
-      if (locked != nullptr) locked->lock.unlock();
-      stripe.lock.lock();
-      locked = &stripe;
-    }
-    BlockState* state = stripe.map.find(b);
-    if (state == nullptr) continue;
-    Node* w = state->last_writer;
-    if (w != nullptr && !w->done_.load(std::memory_order_acquire) &&
-        w->visit_stamp_.load(std::memory_order_relaxed) != stamp) {
-      w->visit_stamp_.store(stamp, std::memory_order_relaxed);
-      result.push_back(w);
+  // Phase 2 — unpin: drop every run pin still naming this node, one chunk
+  // (and so one stripe lock) at a time, so the tracker holds no pointer to
+  // it afterwards (pooled tasks recycle promptly; plain test nodes may be
+  // destroyed).  Runs whose pin was already displaced by a later writer
+  // are no-ops here.  A registration that meanwhile finds a still-parked
+  // pin sees done_ and links nothing.
+  for (const BlockRange& r : node.touched_ranges_) {
+    for (std::uint64_t c = r.lo / kChunkBlocks; c <= r.hi / kChunkBlocks; ++c) {
+      Stripe& stripe = stripes_[stripe_of(c)];
+      support::SpinLockGuard guard(stripe.lock);
+      Chunk* chunk = stripe.map.find(c);
+      if (chunk == nullptr) continue;  // reset() dropped it
+      const auto [first, last] = chunk_span(c, r);
+      unpark(*chunk, first, last, node);
     }
   }
-  if (locked != nullptr) locked->lock.unlock();
-  return result;
+  node.touched_ranges_.clear();
 }
 
 void BlockTracker::reset() {
   // Precondition: no registered node is still pending, so every pin was
-  // already dropped by complete() — the map entries reference nothing and
-  // are simply forgotten.  Never-completed nodes (test-owned) lose their
+  // already dropped by complete() — the chunks reference nothing and are
+  // simply forgotten.  Never-completed nodes (test-owned) lose their
   // no-op pins without being touched.
   for (Stripe& stripe : stripes_) {
     stripe.lock.lock();

@@ -3,20 +3,33 @@
 // The paper's runtime extends BDDT [23], which discovers inter-task
 // dependencies at block granularity from the programmer's in()/out()
 // clauses.  This module reimplements that substrate: memory is viewed as
-// fixed-size blocks; for every block the tracker remembers the last writer
-// and the readers since that write, and derives RAW, WAR and WAW edges when
-// a new task registers its footprint.
+// fixed-size blocks; for every block the tracker knows the last writer and
+// the readers since that write, and derives RAW, WAR and WAW edges when a
+// new task registers its footprint.
 //
 // The tracker is policy-agnostic: it neither schedules nor executes.  The
-// runtime registers each task at spawn time (master thread) and notifies
-// completion from worker threads.  Unlike the paper's single bookkeeping
-// lock (§3.4 argues one is acceptable for coarse tasks), this tracker is
-// striped and mostly lock-free so fine-grained dependent workloads scale:
+// runtime registers each task at spawn time and notifies completion from
+// worker threads.  Unlike the paper's single bookkeeping lock (§3.4 argues
+// one is acceptable for coarse tasks), this tracker is striped and mostly
+// lock-free so fine-grained dependent workloads scale:
 //
-//   * The block map is sharded into kStripes cache-line-padded stripes by
-//     a hash of the block index; each stripe owns an open-addressed flat
-//     table (support::FlatBlockMap) whose BlockStates are reset, never
-//     freed, preserving the zero-allocation steady state.
+//   * Runs, not blocks.  Block indices are grouped into fixed chunks of
+//     kChunkBlocks (64) blocks.  Inside a chunk a 64-bit run-start mask
+//     partitions the blocks into runs — spans of consecutive blocks that
+//     share one last writer and one reader set — and dependence state is
+//     kept once per run.  Registering an access splits at most two runs
+//     (at its first block and one past its last) and then applies the
+//     RAW/WAW/WAR rule once per run it covers; completion visits the runs
+//     overlapping the node's recorded ranges (one per access).  Cost
+//     therefore scales with runs overlapped, not blocks: a whole-image
+//     in() over 1 MiB of 1 KiB blocks is 16 chunk runs, not 1,024 blocks.
+//     A split copies the run's state and adds one pin per copied slot;
+//     a run left with no writer and no readers merges with an empty
+//     neighbour, so quiet memory collapses back to one run per chunk.
+//   * The chunk map is sharded into cache-line-padded stripes by a
+//     Fibonacci hash of the chunk index; each stripe owns an open-addressed
+//     flat table (support::FlatBlockMap) whose chunks and run states are
+//     reset, never freed, preserving the zero-allocation steady state.
 //   * register_node() computes the stripe set of the whole footprint up
 //     front and holds those stripe locks — acquired in ascending stripe
 //     order — for the duration of the registration.  Conflicting
@@ -31,8 +44,8 @@
 //
 // Node-state protocol.  complete() first acquires the node's dep_lock_,
 // stores done_ = true (release) and harvests the dependents list; only
-// then does it visit the stripes to drop the node's block-map pins.  A
-// racing link() checks done_ (acquire) before and after taking the same
+// then does it visit the stripes to drop the node's run pins.  A racing
+// link() checks done_ (acquire) before and after taking the same
 // dep_lock_: if it observes done_, the predecessor's side effects are
 // already visible (the acquire pairs with complete's release) and no edge
 // is needed; otherwise the append happens under the lock and complete()
@@ -41,34 +54,40 @@
 // appended, so the caller's gate arithmetic always balances.
 //
 // Lock order (deadlock freedom): stripe locks are only ever acquired in
-// ascending stripe order, and a node's dep_lock_ is only acquired either
-// alone (complete phase 1) or while holding stripe locks (link), never
-// the other way around.
+// ascending stripe order (complete() holds one at a time), and a node's
+// dep_lock_ is only acquired either alone (complete phase 1) or while
+// holding stripe locks (link), never the other way around.
 //
 // Lifetime: the tracker circulates raw Node* and pins nodes through the
 // intrusive ref_retain()/ref_release() hooks — one shared reference
-// covering all of a registration's block-map pins (last writer / reader
-// slots, counted by Node::pin_count_) and one reference per
-// dependents-list entry.
-// complete() removes every block-map pin of the completing node (each node
-// remembers which blocks it touched), so after complete() returns the
-// tracker holds no pointer to it.  For sigrt::Task the hooks drive the
-// pooled intrusive refcount; for plain Nodes (tests) they default to
-// no-ops and the caller must keep a registered node alive until it
-// completes (the tracker may read it on any later registration of an
-// overlapping range).  The destructor drops any remaining map entries
-// without touching the nodes: with every registered node completed (the
-// runtime barriers before teardown) there are none, and never-completed
-// test nodes are simply forgotten.
+// covering all of a node's run pins (last writer / reader slots, counted
+// by Node::pin_count_) and one reference per dependents-list entry.  A
+// split adds the copied slots to the pinned nodes' pin_count_ (or, for
+// the registering node's own slots, to the registration's local count);
+// it always copies an existing pin, so a count never rises from zero.
+// Runs holding a node never extend past the node's own access ranges
+// (splits only refine them and only empty runs merge), so complete()
+// removes every pin of the completing node and the tracker holds no
+// pointer to it afterwards.  For sigrt::Task the hooks drive the pooled
+// intrusive refcount; for plain Nodes (tests) they default to no-ops and
+// the caller must keep a registered node alive until it completes (the
+// tracker may read it on any later registration of an overlapping range).
+// The destructor drops any remaining map entries without touching the
+// nodes: with every registered node completed (the runtime barriers before
+// teardown) there are none, and never-completed test nodes are simply
+// forgotten.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "support/flat_block_map.hpp"
+#include "support/small_vec.hpp"
 #include "support/spinlock.hpp"
 
 namespace sigrt::dep {
@@ -108,10 +127,16 @@ template <typename T>
   return {p, count * sizeof(T), Mode::InOut};
 }
 
+/// Inclusive block-index range of one registered access.
+struct BlockRange {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+};
+
 /// Participant in dependence tracking.  sigrt::Task derives from this.
 /// done_ and dependents_ are the publish/observe half of the protocol in
 /// the header comment (dep_lock_ + atomics, touched by link/complete from
-/// any thread); touched_blocks_ is only ever written by the registering
+/// any thread); touched_ranges_ is only ever written by the registering
 /// thread and read by the completing one, which the runtime orders through
 /// the task's publication to the scheduler.
 class Node {
@@ -131,14 +156,14 @@ class Node {
   /// used by pooled subclasses when a slot is recycled.  A non-empty
   /// dependents list here means the node is being recycled without having
   /// gone through complete() (abnormal teardown): the retained successor
-  /// references are dropped so their slots still recycle.  The vectors
+  /// references are dropped so their slots still recycle.  The buffers
   /// keep their capacity — part of the zero-allocation steady state.
   /// Pool-recycle path: the slot is exclusively owned (refcount already
   /// zero), so dependents_ is accessed without dep_lock_ by protocol.
   void reset_dep_state() noexcept SIGRT_NO_THREAD_SAFETY_ANALYSIS {
     for (Node* d : dependents_) d->ref_release();
     dependents_.clear();
-    touched_blocks_.clear();
+    touched_ranges_.clear();
     visit_stamp_.store(0, std::memory_order_relaxed);
     pin_count_.store(0, std::memory_order_relaxed);
     done_.store(false, std::memory_order_relaxed);
@@ -153,18 +178,20 @@ class Node {
   std::atomic<bool> done_{false};
   /// Successors; one retained ref each.
   std::vector<Node*> dependents_ SIGRT_GUARDED_BY(dep_lock_);
-  /// Blocks where this node may still be parked as writer/reader (possibly
-  /// with duplicates); complete() walks it to drop the block-map pins.
-  std::vector<std::uint64_t> touched_blocks_;
-  /// De-duplication during one registration / pending_writers scan; stamp
-  /// values are process-unique, so a stale stamp can never false-positive.
+  /// One block range per access — the only places this node can be parked
+  /// as writer/reader; complete() walks the runs overlapping them.  Two
+  /// fit inline (Listing 1's in() + out()) so the task stays small; a
+  /// longer footprint spills once per pool slot and keeps the capacity.
+  support::SmallVec<BlockRange, 2> touched_ranges_;
+  /// De-duplication during one registration; stamp values are
+  /// process-unique, so a stale stamp can never false-positive.
   std::atomic<std::uint64_t> visit_stamp_{0};
-  /// Live block-map pins.  All pins of one registration share a single
-  /// retained reference: register_node() counts its parks and retains
-  /// once; whoever drops a pin (a displacing writer, complete() phase 2)
-  /// decrements, and the count's zero crossing releases the shared
-  /// reference.  This keeps the per-block cost to one relaxed RMW instead
-  /// of two virtual refcount hooks.
+  /// Live run pins.  All pins share a single retained reference:
+  /// register_node() counts its parks and retains once; a split copying a
+  /// pin increments; whoever drops a pin (a displacing writer, complete()
+  /// phase 2) decrements, and the count's zero crossing releases the
+  /// shared reference.  This keeps the per-run cost to one relaxed RMW
+  /// instead of two virtual refcount hooks.
   std::atomic<std::uint32_t> pin_count_{0};
 };
 
@@ -172,7 +199,7 @@ class Node {
 struct TrackerStats {
   std::uint64_t registered_nodes = 0;
   std::uint64_t edges = 0;          // dependency edges discovered
-  std::uint64_t blocks_touched = 0; // distinct blocks ever observed
+  std::uint64_t blocks_touched = 0; // distinct blocks ever registered
 };
 
 class BlockTracker {
@@ -203,7 +230,7 @@ class BlockTracker {
   std::size_t register_node(Node* node, std::span<const Access> accesses)
       SIGRT_NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Marks `node` complete, drops every block-map pin still naming it (the
+  /// Marks `node` complete, drops every run pin still naming it (the
   /// tracker holds no pointer to the node afterwards) and appends the
   /// dependents recorded so far to `out` (which is NOT cleared — callers
   /// reuse scratch buffers).  Each appended pointer carries one retained
@@ -211,23 +238,6 @@ class BlockTracker {
   /// then ref_release() it (or hand the reference on).  Nodes registered
   /// afterwards no longer depend on `node`.
   void complete(Node& node, std::vector<Node*>& out);
-
-  /// Collects the currently unfinished writers overlapping [ptr, ptr+bytes)
-  /// in one linear pass over the range, holding at most one stripe lock at
-  /// a time (re-locking when the block's stripe changes).
-  ///
-  /// Non-retained-pointer contract (the one place it is documented): the
-  /// returned pointers carry NO reference and are revalidated by nothing —
-  /// they are valid only while the caller independently guarantees the
-  /// writers have not completed (e.g. under a barrier, or for test-owned
-  /// nodes).  A writer that completes between the stripe visits may or may
-  /// not appear; one that completes after the call returns leaves a
-  /// dangling entry.
-  /// TSA opt-out: holds at most one stripe lock via a conditional
-  /// relock-on-stripe-change walk, a dynamic pattern TSA cannot follow.
-  [[nodiscard]] std::vector<Node*> pending_writers(const void* ptr,
-                                                   std::size_t bytes)
-      SIGRT_NO_THREAD_SAFETY_ANALYSIS;
 
   /// Forgets all history.  Only valid when no tasks are in flight (every
   /// registered node completed), so the dropped map entries pin nothing.
@@ -238,16 +248,24 @@ class BlockTracker {
   [[nodiscard]] unsigned stripe_count() const noexcept { return stripe_count_; }
 
  private:
-  /// Per-block history.  Readers since the last write live in a small
-  /// inline array that spills into a vector; both are reset — never freed —
-  /// when readers are displaced, so a warm block never allocates.
-  struct BlockState {
+  /// Blocks per chunk: one bit each in a uint64 run-start mask.
+  static constexpr unsigned kChunkBlocks = 64;
+
+  /// History of one run.  Readers since the last write live in a small
+  /// inline array that spills into a vector; both are reset — never
+  /// freed — when readers are displaced, and a split copy-assigns into a
+  /// slot that keeps its spill capacity, so a warm chunk never allocates.
+  struct RunState {
     static constexpr unsigned kInlineReaders = 6;
 
-    Node* last_writer = nullptr;  ///< retained while parked here
+    Node* last_writer = nullptr;  ///< pinned while parked here
     std::uint32_t reader_count = 0;
     std::array<Node*, kInlineReaders> readers_inline{};
     std::vector<Node*> readers_spill;  ///< readers beyond the inline array
+
+    [[nodiscard]] bool empty() const noexcept {
+      return last_writer == nullptr && reader_count == 0;
+    }
 
     void add_reader(Node* n) {
       if (reader_count < kInlineReaders) {
@@ -297,29 +315,79 @@ class BlockTracker {
     }
   };
 
-  /// One shard of the block map.  Padded so neighbouring stripes never
+  /// kChunkBlocks consecutive blocks.  Bit i of `starts` marks block i as
+  /// the first block of a run (bit 0 always); runs[i] holds that run's
+  /// state and is meaningful only at run starts (elsewhere it is empty).
+  struct Chunk {
+    std::uint64_t starts = 1;
+    /// Blocks ever registered (stats).
+    std::uint64_t seen = 0;
+    /// Allocated on the chunk's first registration, then kept.
+    std::unique_ptr<RunState[]> runs;
+  };
+
+  /// First block of the run containing block `pos` of a chunk.
+  [[nodiscard]] static unsigned run_start(std::uint64_t starts,
+                                          unsigned pos) noexcept {
+    const std::uint64_t upto = starts & (~std::uint64_t{0} >> (63u - pos));
+    return 63u - static_cast<unsigned>(std::countl_zero(upto));
+  }
+  /// One past the last block of the run starting at `s` (kChunkBlocks at
+  /// the chunk's end).
+  [[nodiscard]] static unsigned run_end(std::uint64_t starts,
+                                        unsigned s) noexcept {
+    const std::uint64_t above =
+        s + 1 >= kChunkBlocks ? 0 : starts & (~std::uint64_t{0} << (s + 1));
+    return above == 0 ? kChunkBlocks
+                      : static_cast<unsigned>(std::countr_zero(above));
+  }
+
+  /// Blocks [first, last] of chunk `c` that block range `r` covers.
+  struct ChunkSpan {
+    unsigned first;
+    unsigned last;
+  };
+  [[nodiscard]] static ChunkSpan chunk_span(std::uint64_t c,
+                                            const BlockRange& r) noexcept {
+    const auto pos = [](std::uint64_t b) {
+      return static_cast<unsigned>(b % kChunkBlocks);
+    };
+    return {c == r.lo / kChunkBlocks ? pos(r.lo) : 0u,
+            c == r.hi / kChunkBlocks ? pos(r.hi) : kChunkBlocks - 1};
+  }
+
+  /// Makes block `pos` a run start by copying its run's state; every copied
+  /// slot adds one pin (to `parks` when the slot is `self`'s own).
+  static void split(Chunk& chunk, unsigned pos, const Node* self,
+                    std::int64_t& parks);
+
+  /// Drops `node`'s pins from the runs overlapping blocks [a, b] of
+  /// `chunk`, merging runs left empty with empty neighbours.
+  static void unpark(Chunk& chunk, unsigned a, unsigned b, Node& node) noexcept;
+
+  /// One shard of the chunk map.  Padded so neighbouring stripes never
   /// share a cache line under concurrent register/complete traffic.
   struct alignas(64) Stripe {
     mutable support::SpinLock lock;
-    support::FlatBlockMap<BlockState> map SIGRT_GUARDED_BY(lock);
-    /// Distinct keys ever inserted.
+    support::FlatBlockMap<Chunk> map SIGRT_GUARDED_BY(lock);
+    /// Distinct blocks ever registered in this stripe's chunks.
     std::uint64_t blocks_ever SIGRT_GUARDED_BY(lock) = 0;
   };
 
-  [[nodiscard]] unsigned stripe_of(std::uint64_t block) const noexcept {
-    // Fibonacci hash: consecutive block indices of one array scatter over
+  [[nodiscard]] unsigned stripe_of(std::uint64_t chunk) const noexcept {
+    // Fibonacci hash: consecutive chunk indices of one array scatter over
     // stripes instead of marching through them in lockstep.  Shifting by
     // (64 - log2(stripe_count_)) keeps the top bits, so any power-of-two
     // stripe count reuses the same multiply.
     // stripe_count_ == 1 would need a shift by 64 (UB); short-circuit it.
     return stripe_shift_ >= 64
                ? 0u
-               : static_cast<unsigned>((block * 0x9E3779B97F4A7C15ULL) >>
+               : static_cast<unsigned>((chunk * 0x9E3779B97F4A7C15ULL) >>
                                        stripe_shift_);
   }
 
-  /// Builds the stripe mask of [lo, hi]; a range covering every live
-  /// stripe short-circuits to the all-live-stripes mask.
+  /// Builds the stripe mask of chunks [lo, hi]; a range covering every
+  /// live stripe short-circuits to the all-live-stripes mask.
   [[nodiscard]] std::uint64_t stripe_mask(std::uint64_t lo,
                                           std::uint64_t hi) const noexcept;
 
@@ -338,7 +406,7 @@ class BlockTracker {
   /// what keeps the pointer alive).
   bool link(Node* pred, Node* succ, std::uint64_t stamp);
 
-  /// Drops one block-map pin of `node`; the last pin releases the shared
+  /// Drops one run pin of `node`; the last pin releases the shared
   /// registration reference.  Caller must hold the stripe lock the pin was
   /// found under (which is what makes the pointer still dereferencable).
   static void unpin(Node* node) noexcept {
@@ -361,7 +429,7 @@ class BlockTracker {
   /// are ever addressed (stripe_of masks into that prefix).
   std::array<Stripe, kMaxStripes> stripes_;
 
-  /// Registration/scan stamp source.  Starts at 1 so a freshly reset
+  /// Registration stamp source.  Starts at 1 so a freshly reset
   /// node's visit_stamp_ of 0 never matches a live stamp.
   std::atomic<std::uint64_t> stamp_{1};
   std::atomic<std::uint64_t> registered_nodes_{0};

@@ -1,7 +1,7 @@
 // Open-addressed hash table specialized for the dependence tracker's
-// per-stripe block tables: 64-bit block-index keys, linear probing, and —
+// per-stripe chunk tables: 64-bit chunk-index keys, linear probing, and —
 // the property the probe loop relies on — keys are NEVER erased
-// individually.  A block that has been observed once keeps its slot (and
+// individually.  A chunk that has been observed once keeps its slot (and
 // its Value's internal buffer capacity) for the tracker's lifetime;
 // completing a task merely resets fields inside the Value.  Only clear()
 // forgets keys, so probing needs no tombstones and a miss stops at the
@@ -22,7 +22,7 @@ namespace sigrt::support {
 template <typename Value>
 class FlatBlockMap {
  public:
-  /// Reserved: no valid block index is all-ones (it would require the last
+  /// Reserved: no valid chunk index is all-ones (it would require the last
   /// addressable byte of the address space).
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 
@@ -42,7 +42,7 @@ class FlatBlockMap {
   /// Finds `key` or default-constructs a Value for it; `inserted` reports
   /// which.  Amortized O(1); a growth step reallocates and moves values.
   Value& get_or_insert(std::uint64_t key, bool& inserted) {
-    assert(key != kEmptyKey && "block index collides with the empty sentinel");
+    assert(key != kEmptyKey && "chunk index collides with the empty sentinel");
     if ((size_ + 1) * 4 > slots_.size() * 3) grow();
     for (std::size_t i = index_of(key);; i = (i + 1) & mask_) {
       Slot& s = slots_[i];
@@ -79,7 +79,7 @@ class FlatBlockMap {
   };
 
   [[nodiscard]] std::size_t index_of(std::uint64_t key) const noexcept {
-    // splitmix64 finalizer: block indices are sequential per array, so the
+    // splitmix64 finalizer: chunk indices are sequential per array, so the
     // low bits need thorough mixing before masking.
     std::uint64_t h = key;
     h ^= h >> 33;

@@ -155,9 +155,26 @@ using sigrt::dep::BlockTracker;
 using sigrt::dep::Mode;
 using sigrt::dep::Node;
 
+// Node with instrumented lifetime hooks and a runtime-style gate, for
+// checking the tracker's reference counts without the runtime.
+class CountingNode : public Node {
+ public:
+  void ref_retain() noexcept override {
+    retains.fetch_add(1, std::memory_order_relaxed);
+  }
+  void ref_release() noexcept override {
+    releases.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  std::atomic<std::uint64_t> retains{0};
+  std::atomic<std::uint64_t> releases{0};
+  std::atomic<std::uint32_t> gate{0};
+};
+
 // Single-threaded reference implementation of the block tracker's
-// semantics — the pre-striping single-map algorithm, reduced to indices.
-// The striped tracker, driven serially, must agree with it exactly.
+// semantics — the per-block single-map algorithm, reduced to indices.
+// The run-based striped tracker, driven serially, must agree with it
+// exactly: same edges, same dependents, same references held.
 class ReferenceTracker {
  public:
   explicit ReferenceTracker(std::size_t block_bytes, std::size_t nodes)
@@ -202,6 +219,21 @@ class ReferenceTracker {
     return out;
   }
 
+  /// References the tracker should hold on each node: one while it is
+  /// parked as any block's writer or reader, plus one per unfinished
+  /// predecessor's dependents entry naming it.
+  std::vector<std::uint64_t> held_references() const {
+    std::vector<std::uint64_t> held(nodes_.size(), 0);
+    for (const auto& [b, st] : blocks_) {
+      if (st.writer >= 0) held[static_cast<std::size_t>(st.writer)] = 1;
+      for (std::size_t r : st.readers) held[r] = 1;
+    }
+    for (const RefNode& n : nodes_) {
+      for (std::size_t d : n.dependents) ++held[d];
+    }
+    return held;
+  }
+
  private:
   struct RefNode {
     bool done = false;
@@ -228,85 +260,151 @@ class ReferenceTracker {
   std::map<std::uint64_t, BlockState> blocks_;
 };
 
+// Footprint generators for the serial oracle.  Each draws one task's
+// accesses over an arena of `arena_bytes`.
+using FootprintGen = std::vector<Access> (*)(sigrt::support::Xoshiro256&,
+                                             std::uint8_t*, std::size_t);
+
+Mode random_mode(sigrt::support::Xoshiro256& rng) {
+  const auto m = rng.bounded(3);
+  return m == 0 ? Mode::In : (m == 1 ? Mode::Out : Mode::InOut);
+}
+
+// 1-3 accesses of at most 4 blocks: many small runs inside one chunk.
+std::vector<Access> small_footprint(sigrt::support::Xoshiro256& rng,
+                                    std::uint8_t* arena, std::size_t bytes) {
+  std::vector<Access> accesses;
+  const std::size_t n = 1 + rng.bounded(3);
+  for (std::size_t a = 0; a < n; ++a) {
+    const std::size_t off = rng.bounded(bytes - 1);
+    std::size_t len = 1 + rng.bounded(4 * 64);
+    if (off + len > bytes) len = bytes - off;
+    accesses.push_back({arena + off, len, random_mode(rng)});
+  }
+  return accesses;
+}
+
+// 1-3 accesses at unaligned offsets whose sizes run from 1 byte to the
+// whole multi-chunk arena (log-uniform), so runs split and merge at every
+// position and accesses straddle chunk boundaries.
+std::vector<Access> wide_footprint(sigrt::support::Xoshiro256& rng,
+                                   std::uint8_t* arena, std::size_t bytes) {
+  std::vector<Access> accesses;
+  const std::size_t n = 1 + rng.bounded(3);
+  for (std::size_t a = 0; a < n; ++a) {
+    if (rng.bounded(8) == 0) {
+      accesses.push_back({arena, bytes, random_mode(rng)});
+      continue;
+    }
+    const std::size_t off = rng.bounded(bytes - 1);
+    const auto scale = static_cast<unsigned>(std::bit_width(bytes));
+    std::size_t len = 1 + rng.bounded(std::size_t{1} << rng.bounded(scale + 1));
+    if (off + len > bytes) len = bytes - off;
+    accesses.push_back({arena + off, len, random_mode(rng)});
+  }
+  return accesses;
+}
+
+// Listing 1: the first half of the arena is the input image, the second
+// the output.  Most tasks read the whole input and write one band of the
+// output (bands are not block-aligned, so neighbours share edge blocks);
+// now and then a task rewrites the whole input (the next frame).
+std::vector<Access> listing1_footprint(sigrt::support::Xoshiro256& rng,
+                                       std::uint8_t* arena, std::size_t bytes) {
+  const std::size_t half = bytes / 2;
+  if (rng.bounded(10) == 0) return {{arena, half, Mode::Out}};
+  constexpr std::size_t kBands = 13;
+  const std::size_t band = half / kBands;
+  const std::size_t k = rng.bounded(kBands);
+  return {{arena, half, Mode::In}, {arena + half + k * band, band, Mode::Out}};
+}
+
 TEST(DepOracle, SerializedStripedTrackerMatchesReference) {
   constexpr std::size_t kBlock = 64;
   constexpr std::size_t kNodes = 300;
-  constexpr std::size_t kArena = 64 * kBlock;
-  static std::vector<std::uint8_t> arena(kArena);
+  // The wide arenas span 3.5 chunks of 64 blocks and start at an offset
+  // that aligns neither blocks nor chunks to them.
+  constexpr std::size_t kWide = 224 * kBlock;
+  alignas(4096) static std::array<std::uint8_t, kWide + 4096> storage;
+  struct Shape {
+    const char* name;
+    FootprintGen gen;
+    std::size_t offset;
+    std::size_t arena_bytes;
+  };
+  const Shape shapes[] = {
+      {"small", small_footprint, 0, 64 * kBlock},
+      {"wide", wide_footprint, 1000, kWide},
+      {"listing1", listing1_footprint, 1000, kWide},
+  };
 
-  for (std::uint64_t seed : {11u, 22u, 33u}) {
-    BlockTracker tracker(kBlock);
-    ReferenceTracker reference(kBlock, kNodes);
-    std::vector<Node> nodes(kNodes);
-    sigrt::support::Xoshiro256 rng(seed);
+  for (const Shape& shape : shapes) {
+    for (std::uint64_t seed : {11u, 22u, 33u}) {
+      BlockTracker tracker(kBlock);
+      ReferenceTracker reference(kBlock, kNodes);
+      std::vector<CountingNode> nodes(kNodes);
+      sigrt::support::Xoshiro256 rng(seed);
+      std::uint8_t* const arena = storage.data() + shape.offset;
 
-    std::vector<std::size_t> live;  // registered, not yet completed
-    std::size_t next = 0;
-    std::uint64_t ops = 0;
-    while (next < kNodes || !live.empty()) {
-      const bool can_register = next < kNodes;
-      const bool do_register =
-          can_register && (live.empty() || rng.bounded(2) == 0);
-      if (do_register) {
-        std::vector<Access> accesses;
-        const std::size_t n = 1 + rng.bounded(3);
-        for (std::size_t a = 0; a < n; ++a) {
-          const std::size_t off = rng.bounded(kArena - 1);
-          std::size_t bytes = 1 + rng.bounded(4 * kBlock);
-          if (off + bytes > kArena) bytes = kArena - off;
-          const auto m = rng.bounded(3);
-          accesses.push_back(
-              {arena.data() + off, bytes,
-               m == 0 ? Mode::In : (m == 1 ? Mode::Out : Mode::InOut)});
+      std::vector<std::size_t> live;  // registered, not yet completed
+      std::size_t next = 0;
+      std::uint64_t ops = 0;
+      while (next < kNodes || !live.empty()) {
+        const bool can_register = next < kNodes;
+        const bool do_register =
+            can_register && (live.empty() || rng.bounded(2) == 0);
+        if (do_register) {
+          const std::vector<Access> accesses =
+              shape.gen(rng, arena, shape.arena_bytes);
+          const std::size_t got = tracker.register_node(&nodes[next], accesses);
+          const std::size_t want = reference.register_node(next, accesses);
+          ASSERT_EQ(got, want) << shape.name << " register #" << next
+                               << " seed " << seed;
+          live.push_back(next);
+          ++next;
+        } else {
+          const std::size_t pick = rng.bounded(live.size());
+          const std::size_t id = live[pick];
+          live[pick] = live.back();
+          live.pop_back();
+          std::vector<Node*> out;
+          tracker.complete(nodes[id], out);
+          std::vector<std::size_t> got;
+          got.reserve(out.size());
+          for (Node* n : out) {
+            got.push_back(static_cast<std::size_t>(
+                static_cast<CountingNode*>(n) - nodes.data()));
+            n->ref_release();  // adopt the handed-out reference
+          }
+          std::vector<std::size_t> want = reference.complete(id);
+          std::sort(got.begin(), got.end());
+          std::sort(want.begin(), want.end());
+          ASSERT_EQ(got, want) << shape.name << " complete #" << id
+                               << " seed " << seed;
         }
-        const std::size_t got = tracker.register_node(&nodes[next], accesses);
-        const std::size_t want = reference.register_node(next, accesses);
-        ASSERT_EQ(got, want) << "register #" << next << " seed " << seed;
-        live.push_back(next);
-        ++next;
-      } else {
-        const std::size_t pick = rng.bounded(live.size());
-        const std::size_t id = live[pick];
-        live[pick] = live.back();
-        live.pop_back();
-        std::vector<Node*> out;
-        tracker.complete(nodes[id], out);
-        std::vector<std::size_t> got;
-        got.reserve(out.size());
-        for (Node* n : out) {
-          got.push_back(static_cast<std::size_t>(n - nodes.data()));
+        // Pin accounting: a node is referenced exactly while the reference
+        // model still parks it (splits must add pins, displacements and
+        // completions drop them) or lists it as a pending dependent.
+        const std::vector<std::uint64_t> held = reference.held_references();
+        for (std::size_t id = 0; id < next; ++id) {
+          ASSERT_EQ(nodes[id].retains.load() - nodes[id].releases.load(),
+                    held[id])
+              << shape.name << " node " << id << " after op " << ops
+              << " seed " << seed;
         }
-        std::vector<std::size_t> want = reference.complete(id);
-        std::sort(got.begin(), got.end());
-        std::sort(want.begin(), want.end());
-        ASSERT_EQ(got, want) << "complete #" << id << " seed " << seed;
+        ++ops;
       }
-      ++ops;
+      ASSERT_EQ(ops, kNodes * 2);
     }
-    ASSERT_EQ(ops, kNodes * 2);
   }
 }
-
-// Node with instrumented lifetime hooks and a runtime-style gate, for
-// driving the tracker from multiple threads without the runtime.
-class CountingNode : public Node {
- public:
-  void ref_retain() noexcept override {
-    retains.fetch_add(1, std::memory_order_relaxed);
-  }
-  void ref_release() noexcept override {
-    releases.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  std::atomic<std::uint64_t> retains{0};
-  std::atomic<std::uint64_t> releases{0};
-  std::atomic<std::uint32_t> gate{0};
-};
 
 struct OracleParams {
   unsigned threads;
   std::size_t nodes_per_thread;
   std::uint64_t seed;
+  /// Listing-1 footprints over a multi-chunk arena instead of small ones.
+  bool wide_read = false;
 };
 
 // T threads register/complete overlapping random footprints directly
@@ -325,12 +423,17 @@ struct OracleParams {
 //   * progress — a cycle in the discovered graph (the striping hazard this
 //     guards against) would deadlock the gates; the bounded spin turns
 //     that into a failure instead of a hang.
+// The wide-read row draws Listing-1 footprints instead: a whole-input in()
+// over several chunks plus a one-block out() band of the output, with an
+// occasional whole-input out() (the next frame).
 class DepConcurrentOracle : public testing::TestWithParam<OracleParams> {};
 
 TEST_P(DepConcurrentOracle, ConflictExclusionEdgeAndRefBalance) {
   const OracleParams& p = GetParam();
   constexpr std::size_t kBlock = 64;
-  constexpr std::size_t kBlocks = 48;  // small arena: heavy overlap
+  constexpr std::size_t kSmallBlocks = 48;   // small arena: heavy overlap
+  constexpr std::size_t kInputBlocks = 200;  // wide-read input: ~3 chunks
+  constexpr std::size_t kBlocks = kInputBlocks + 16;
   constexpr std::size_t kArena = kBlocks * kBlock;
   constexpr std::uint32_t kHold = 1u << 20;
   static std::vector<std::uint8_t> arena(kArena);
@@ -363,20 +466,31 @@ TEST_P(DepConcurrentOracle, ConflictExclusionEdgeAndRefBalance) {
       // conflict).
       std::vector<Access> accesses;
       std::array<std::uint8_t, kBlocks> role{};  // 1 = read, 2 = write
-      const std::size_t n = 1 + rng.bounded(3);
-      for (std::size_t a = 0; a < n; ++a) {
-        const std::size_t lo = rng.bounded(kBlocks);
-        const std::size_t span = 1 + rng.bounded(4);
-        const std::size_t hi = std::min(lo + span, kBlocks);
-        const auto m = rng.bounded(3);
-        const Mode mode =
-            m == 0 ? Mode::In : (m == 1 ? Mode::Out : Mode::InOut);
+      auto add = [&](std::size_t lo, std::size_t hi, Mode mode) {
         accesses.push_back(
             {arena.data() + lo * kBlock, (hi - lo) * kBlock, mode});
         for (std::size_t b = lo; b < hi; ++b) {
           role[b] = std::max<std::uint8_t>(
               role[b], sigrt::dep::writes(mode) ? 2 : 1);
         }
+      };
+      if (p.wide_read) {
+        if (rng.bounded(8) == 0) {
+          add(0, kInputBlocks, Mode::Out);
+        } else {
+          const std::size_t band =
+              kInputBlocks + rng.bounded(kBlocks - kInputBlocks);
+          add(0, kInputBlocks, Mode::In);
+          add(band, band + 1, Mode::Out);
+        }
+      }
+      const std::size_t n = p.wide_read ? 0 : 1 + rng.bounded(3);
+      for (std::size_t a = 0; a < n; ++a) {
+        const std::size_t lo = rng.bounded(kSmallBlocks);
+        const std::size_t span = 1 + rng.bounded(4);
+        const std::size_t hi = std::min(lo + span, kSmallBlocks);
+        const auto m = rng.bounded(3);
+        add(lo, hi, m == 0 ? Mode::In : (m == 1 ? Mode::Out : Mode::InOut));
       }
       std::vector<std::pair<std::size_t, bool>> foot;  // (block, writes)
       for (std::size_t b = 0; b < kBlocks; ++b) {
@@ -462,7 +576,8 @@ TEST_P(DepConcurrentOracle, ConflictExclusionEdgeAndRefBalance) {
 std::string oracle_name(const testing::TestParamInfo<OracleParams>& info) {
   return "t" + std::to_string(info.param.threads) + "_n" +
          std::to_string(info.param.nodes_per_thread) + "_s" +
-         std::to_string(info.param.seed);
+         std::to_string(info.param.seed) +
+         (info.param.wide_read ? "_wide" : "");
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DepConcurrentOracle,
@@ -471,6 +586,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DepConcurrentOracle,
                              {4, 400, 2},
                              {4, 400, 3},
                              {8, 200, 4},
+                             {4, 300, 5, /*wide_read=*/true},
                          }),
                          oracle_name);
 

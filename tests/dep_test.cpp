@@ -151,18 +151,6 @@ TEST(BlockTracker, EmptyAndNullAccessesIgnored) {
             0u);
 }
 
-TEST(BlockTracker, PendingWritersFindsUnfinishedWriter) {
-  BlockTracker t(64);
-  alignas(64) std::array<int, 16> data{};
-  auto w = make_node();
-  reg(t, w, {sigrt::dep::out(data.data(), data.size())});
-  auto pending = t.pending_writers(data.data(), sizeof(data));
-  ASSERT_EQ(pending.size(), 1u);
-  EXPECT_EQ(pending[0], w.get());
-  (void)complete(t, *w);
-  EXPECT_TRUE(t.pending_writers(data.data(), sizeof(data)).empty());
-}
-
 TEST(BlockTracker, ResetForgetsHistory) {
   BlockTracker t(64);
   alignas(64) std::array<int, 16> data{};
