@@ -2,7 +2,7 @@
 // carries an in()/out() footprint and the dependence tracker is on the
 // critical path.
 //
-// Three workload shapes, chosen to stress the tracker's extremes:
+// Five workload shapes, chosen to stress the tracker's extremes:
 //
 //   * chain — C independent chains, each task inout() on its chain's
 //     private block: pure pipeline parallelism, one predecessor per task,
@@ -13,8 +13,19 @@
 //     WAR + WAW edges crossing stripe boundaries.
 //   * wide_read — the paper's Listing 1: every task reads one whole shared
 //     array (in) and writes its own disjoint band of an output (out); one
-//     writer per wave rewrites the array (the next frame).  Footprints of
-//     a thousand blocks, so the cost is the tracker's per-access work.
+//     writer per wave rewrites the array (the next frame).  64 KiB
+//     footprints, so the cost is the tracker's per-access work.
+//   * unaligned_rows — Listing 1 with 1 KiB row bands over a heap buffer
+//     16 bytes past a cache-line boundary, as malloc places large blocks:
+//     no row starts on a power-of-two boundary, so a tracker that rounded
+//     footprints to blocks would chain every band to its neighbour (the
+//     dep_edges column reads 0 when it does not).
+//   * long_read — thousands of live readers of one array: 4,096 readers
+//     register while the first ones hold their workers until the last is
+//     spawned, so all are parked on the array's run at once; they complete
+//     in whatever order the workers run them, and a closing writer waits
+//     on every one.  The cost is reader add/remove on one run with
+//     thousands of readers parked.
 //
 // Each shape runs at 1/4/8 workers, clamped to the host's CPUs.  Like
 // micro_spawn, the driver counts heap allocations through an instrumented
@@ -79,12 +90,13 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 
 namespace {
 
-constexpr std::size_t kBlockBytes = 64;
+constexpr std::size_t kCellBytes = 64;
 
-/// One tracker block per logical cell: dependencies are exactly the ones the
-/// shape intends, never accidental same-block aliasing.
-struct alignas(kBlockBytes) Cell {
-  unsigned char bytes[kBlockBytes];
+/// One cache line per logical datum.  The tracker is byte-exact, so cells
+/// never alias whatever their alignment; the alignment keeps bodies of
+/// neighbouring cells off each other's lines.
+struct alignas(kCellBytes) Cell {
+  unsigned char bytes[kCellBytes];
 };
 
 struct DepRecord {
@@ -166,13 +178,61 @@ std::uint64_t wide_read_round(sigrt::Runtime& rt, std::vector<Cell>& cells) {
   return kWideWaves * (kWideBands + 1);
 }
 
+// Listing 1 at row granularity over an unaligned buffer: one task per
+// 1 KiB output row reading the whole frame.
+constexpr std::size_t kRowBytes = 1024;
+constexpr std::size_t kRows = 256;
+constexpr std::size_t kFrameBytes = kRows * kRowBytes;  // 4 tracker chunks
+constexpr std::size_t kRowWaves = 8;
+constexpr std::size_t kRowCells = (2 * kFrameBytes) / kCellBytes + 1;
+
+std::uint64_t unaligned_rows_round(sigrt::Runtime& rt,
+                                   std::vector<Cell>& cells) {
+  auto* frame = reinterpret_cast<unsigned char*>(cells.data()) + 16;
+  unsigned char* out = frame + kFrameBytes;
+  for (std::size_t w = 0; w < kRowWaves; ++w) {
+    for (std::size_t y = 0; y < kRows; ++y) {
+      rt.spawn(sigrt::task([] {})
+                   .in(static_cast<const unsigned char*>(frame), kFrameBytes)
+                   .out(out + y * kRowBytes, kRowBytes));
+    }
+    rt.wait_all();
+  }
+  return kRowWaves * kRows;
+}
+
+// Readers hold their workers until the wave's last reader is spawned, so
+// every reader of the wave is parked on the array's run at once; a closing
+// writer waits on every one.
+constexpr std::size_t kLongCells = 1024;  // 64 KiB array
+constexpr std::size_t kLongReaders = 4096;
+constexpr std::size_t kLongWaves = 4;
+
+std::uint64_t long_read_round(sigrt::Runtime& rt, std::vector<Cell>& cells) {
+  const Cell* array = cells.data();
+  std::atomic<bool> spawned{false};
+  for (std::size_t w = 0; w < kLongWaves; ++w) {
+    spawned.store(false, std::memory_order_relaxed);
+    for (std::size_t r = 0; r < kLongReaders; ++r) {
+      rt.spawn(sigrt::task([&spawned] {
+                 while (!spawned.load(std::memory_order_acquire)) {
+                   std::this_thread::yield();
+                 }
+               }).in(array, kLongCells));
+    }
+    spawned.store(true, std::memory_order_release);
+    rt.spawn(sigrt::task([] {}).out(cells.data(), kLongCells));
+    rt.wait_all();
+  }
+  return kLongWaves * (kLongReaders + 1);
+}
+
 template <typename Round>
 DepRecord measure(const char* shape, unsigned workers, std::size_t cell_count,
                   Round round, int max_warmup) {
   sigrt::RuntimeConfig c;
   c.workers = workers;
   c.policy = sigrt::PolicyKind::Agnostic;
-  c.block_bytes = kBlockBytes;
   c.record_task_log = false;
   sigrt::Runtime rt(c);
   std::vector<Cell> cells(cell_count);
@@ -226,10 +286,14 @@ int main(int, char**) {
                               /*max_warmup=*/6));
     records.push_back(measure("wide_read", w, kWideIn + kWideBands * kWideBand,
                               wide_read_round, /*max_warmup=*/6));
+    records.push_back(measure("unaligned_rows", w, kRowCells,
+                              unaligned_rows_round, /*max_warmup=*/6));
+    records.push_back(measure("long_read", w, kLongCells, long_read_round,
+                              /*max_warmup=*/6));
   }
 
   std::printf("{\"bench\":\"micro_deps\",\"block_bytes\":%zu,\"cells\":[",
-              kBlockBytes);
+              sigrt::dep::BlockTracker().block_bytes());
   for (std::size_t i = 0; i < records.size(); ++i) {
     const DepRecord& r = records[i];
     std::printf(

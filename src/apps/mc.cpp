@@ -158,9 +158,9 @@ RunResult run(const Options& options, std::vector<double>* out) {
       // This is the transformation a perforating compiler would apply to
       // the hot loop, and matches §4.2's observation that MC's performance
       // under the runtime policies is almost identical to blind
-      // perforation.  (No out() clauses: per-point estimates are 8-byte
-      // slots, far below block granularity, and the tasks are independent —
-      // the group barrier orders the final read.)
+      // perforation.  (No out() clauses: the per-point estimate slots are
+      // disjoint, so the tasks are independent — the group barrier orders
+      // the final read.)
       Options perforated = options;
       perforated.walks = static_cast<std::size_t>(
           std::max(1.0, static_cast<double>(options.walks) * ratio));

@@ -109,7 +109,7 @@ TaskId current_task_id() noexcept {
 
 Runtime::Runtime(RuntimeConfig config)
     : config_(config),
-      tracker_(config.block_bytes, resolve_dep_stripes(config)),
+      tracker_(resolve_dep_stripes(config)),
       policy_(make_policy(config)),
       pass_through_(policy_->pass_through()),
       group_table_(new std::atomic<TaskGroup*>[kGroupFastTableSize]),

@@ -73,9 +73,6 @@ struct RuntimeConfig {
   /// Enable work stealing between worker queues.
   bool steal = true;
 
-  /// Block granularity of the dependence tracker (power of two, bytes).
-  std::size_t block_bytes = 1024;
-
   /// Dependence-tracker stripe count (power of two, at most 64 — the
   /// stripe mask is one uint64_t).  0 selects a topology-derived default
   /// (~4 stripes per worker, clamped to [8, 64]).

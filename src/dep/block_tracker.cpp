@@ -1,14 +1,13 @@
 #include "dep/block_tracker.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
 namespace sigrt::dep {
 
-BlockTracker::BlockTracker(std::size_t block_bytes, unsigned stripes)
-    : block_bytes_(block_bytes),
-      block_shift_(static_cast<unsigned>(std::countr_zero(block_bytes))),
-      stripe_count_(stripes == 0 ? kMaxStripes : stripes),
+BlockTracker::BlockTracker(unsigned stripes)
+    : stripe_count_(stripes == 0 ? kMaxStripes : stripes),
       stripe_shift_(64u - static_cast<unsigned>(
                               std::countr_zero(stripe_count_ == 0
                                                    ? kMaxStripes
@@ -16,23 +15,9 @@ BlockTracker::BlockTracker(std::size_t block_bytes, unsigned stripes)
       all_stripes_mask_(stripe_count_ >= 64
                             ? ~std::uint64_t{0}
                             : (std::uint64_t{1} << stripe_count_) - 1) {
-  assert(block_bytes > 0 && std::has_single_bit(block_bytes) &&
-         "block size must be a power of two");
   assert(stripe_count_ >= 1 && stripe_count_ <= kMaxStripes &&
          std::has_single_bit(stripe_count_) &&
          "stripe count must be a power of two in [1, kMaxStripes]");
-}
-
-std::uint64_t BlockTracker::first_block(const void* ptr) const noexcept {
-  return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(ptr)) >>
-         block_shift_;
-}
-
-std::uint64_t BlockTracker::last_block(const void* ptr,
-                                       std::size_t bytes) const noexcept {
-  const auto base = static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(ptr));
-  const std::uint64_t end = base + (bytes == 0 ? 0 : bytes - 1);
-  return end >> block_shift_;
 }
 
 std::uint64_t BlockTracker::stripe_mask(std::uint64_t lo,
@@ -81,16 +66,45 @@ bool BlockTracker::link(Node* pred, Node* succ, std::uint64_t stamp) {
   return added;
 }
 
-void BlockTracker::split(Chunk& chunk, unsigned pos, const Node* self,
-                         std::int64_t& parks) {
-  if (pos >= kChunkBlocks || ((chunk.starts >> pos) & 1) != 0) return;
-  chunk.starts |= std::uint64_t{1} << pos;
-  // Slots off a run start are always empty, so an empty run splits
-  // without a copy.
-  const RunState& src = chunk.runs[run_start(chunk.starts, pos - 1)];
-  if (src.empty()) return;
-  RunState& run = chunk.runs[pos];
-  run = src;
+std::uint32_t BlockTracker::new_state(Chunk& chunk) {
+  if (!chunk.free_states.empty()) {
+    const std::uint32_t slot = chunk.free_states.back();
+    chunk.free_states.pop_back();
+    return slot;
+  }
+  chunk.states.emplace_back();
+  // Every slot can be free at once; sizing the free list with the slab
+  // keeps a merge (which frees a slot under the lock) from allocating.
+  if (chunk.free_states.capacity() < chunk.states.size()) {
+    chunk.free_states.reserve(chunk.states.capacity());
+  }
+  return static_cast<std::uint32_t>(chunk.states.size() - 1);
+}
+
+std::size_t BlockTracker::run_at(const Chunk& chunk,
+                                 std::uint32_t off) noexcept {
+  // The last run starting at or before `off` (runs[0] starts at 0).
+  const auto after = std::upper_bound(
+      chunk.runs.begin(), chunk.runs.end(), off,
+      [](std::uint32_t o, const Run& r) { return o < r.start; });
+  return static_cast<std::size_t>(after - chunk.runs.begin()) - 1;
+}
+
+std::size_t BlockTracker::split(Chunk& chunk, std::uint64_t off,
+                                const Node* self, std::int64_t& parks) {
+  if (off >= kChunkBytes) return chunk.runs.size();
+  const auto start = static_cast<std::uint32_t>(off);
+  const std::size_t i = run_at(chunk, start);
+  if (chunk.runs[i].start == start) return i;
+  const std::uint32_t slot = new_state(chunk);
+  chunk.runs.insert(chunk.runs.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                    Run{start, slot});
+  const RunState& src = chunk.states[chunk.runs[i].state];
+  // A fresh slot is empty, so an empty run splits without a copy.
+  if (src.empty()) return i + 1;
+  RunState& run = chunk.states[slot];
+  run.last_writer = src.last_writer;
+  run.readers.assign(src.readers);
   // Each copied slot is a new pin of a node that is already pinned here
   // (so its count is above zero); the registering node's own slots are
   // not published yet and go into the registration's local count.
@@ -102,7 +116,8 @@ void BlockTracker::split(Chunk& chunk, unsigned pos, const Node* self,
     }
   };
   if (run.last_writer != nullptr) pin(run.last_writer);
-  run.for_each_reader(pin);
+  run.readers.for_each(pin);
+  return i + 1;
 }
 
 std::size_t BlockTracker::register_node(Node* node,
@@ -118,14 +133,14 @@ std::size_t BlockTracker::register_node(Node* node,
   std::uint64_t mask = 0;
   for (const Access& a : accesses) {
     if (a.ptr == nullptr || a.bytes == 0) continue;
-    mask |= stripe_mask(first_block(a.ptr) / kChunkBlocks,
-                        last_block(a.ptr, a.bytes) / kChunkBlocks);
+    const ByteRange r = byte_range(a);
+    mask |= stripe_mask(r.lo >> kChunkShift, r.hi >> kChunkShift);
   }
   if (mask == 0) return 0;
 
   // Pass 2: hold every involved stripe for the duration so conflicting
   // registrations serialize in one consistent order across all shared
-  // blocks (pairwise edges can then never form a cycle).
+  // bytes (pairwise edges can then never form a cycle).
   lock_stripes(mask);
 
   std::size_t predecessors = 0;
@@ -135,28 +150,26 @@ std::size_t BlockTracker::register_node(Node* node,
   };
   for (const Access& a : accesses) {
     if (a.ptr == nullptr || a.bytes == 0) continue;
-    const BlockRange range{first_block(a.ptr), last_block(a.ptr, a.bytes)};
+    const ByteRange range = byte_range(a);
     node->touched_ranges_.push_back(range);
-    for (std::uint64_t c = range.lo / kChunkBlocks;
-         c <= range.hi / kChunkBlocks; ++c) {
+    for (std::uint64_t c = range.lo >> kChunkShift; c <= range.hi >> kChunkShift;
+         ++c) {
       Stripe& stripe = stripes_[stripe_of(c)];
       bool inserted = false;
       Chunk& chunk = stripe.map.get_or_insert(c, inserted);
-      if (!chunk.runs) chunk.runs = std::make_unique<RunState[]>(kChunkBlocks);
+      if (inserted) {
+        ++stripe.chunks_ever;
+        chunk.runs.push_back(Run{0, new_state(chunk)});
+      }
       const auto [first, last] = chunk_span(c, range);
-      const std::uint64_t bits = (~std::uint64_t{0} >> (63u - last)) &
-                                 (~std::uint64_t{0} << first);
-      stripe.blocks_ever += static_cast<std::uint64_t>(
-          std::popcount(bits & ~chunk.seen));
-      chunk.seen |= bits;
-      split(chunk, first, node, parks);
-      split(chunk, last + 1, node, parks);
+      std::size_t i = split(chunk, first, node, parks);
+      split(chunk, std::uint64_t{last} + 1, node, parks);
 
-      for (unsigned s = first; s <= last; s = run_end(chunk.starts, s)) {
-        RunState& run = chunk.runs[s];
+      for (; i < chunk.runs.size() && chunk.runs[i].start <= last; ++i) {
+        RunState& run = chunk.states[chunk.runs[i].state];
         if (reads(a.mode)) link_pred(run.last_writer);  // RAW
         if (!writes(a.mode)) {
-          run.add_reader(node);
+          run.readers.add(node);
           ++parks;
           continue;
         }
@@ -165,7 +178,7 @@ std::size_t BlockTracker::register_node(Node* node,
         // reader pin parked by an earlier access of this same registration
         // is displaced by adjusting the local park count, not the shared
         // reference.
-        run.for_each_reader([&](Node* r) {
+        run.readers.for_each([&](Node* r) {
           if (r == node) {
             --parks;
             return;
@@ -173,7 +186,7 @@ std::size_t BlockTracker::register_node(Node* node,
           link_pred(r);
           unpin(r);
         });
-        run.clear_readers();
+        run.readers.clear();
         // A later write clause of this same registration may find the node
         // already parked as this run's writer; the existing pin stands
         // (unpin here would transiently underflow the not-yet-published
@@ -203,25 +216,35 @@ std::size_t BlockTracker::register_node(Node* node,
   return predecessors;
 }
 
-void BlockTracker::unpark(Chunk& chunk, unsigned a, unsigned b,
+void BlockTracker::unpark(Chunk& chunk, std::uint32_t a, std::uint32_t b,
                           Node& node) noexcept {
-  for (unsigned s = run_start(chunk.starts, a); s <= b;
-       s = run_end(chunk.starts, s)) {
-    RunState& run = chunk.runs[s];
+  auto state = [&chunk](std::size_t i) -> RunState& {
+    return chunk.states[chunk.runs[i].state];
+  };
+  // Folds run j into its left neighbour; both are empty.
+  auto merge = [&chunk](std::size_t j) {
+    chunk.free_states.push_back(chunk.runs[j].state);  // capacity reserved
+    chunk.runs.erase(chunk.runs.begin() + static_cast<std::ptrdiff_t>(j));
+  };
+  for (std::size_t i = run_at(chunk, a);
+       i < chunk.runs.size() && chunk.runs[i].start <= b;) {
+    RunState& run = state(i);
     if (run.last_writer == &node) {
       run.last_writer = nullptr;
       unpin(&node);
     }
-    // Parked once per covering access at most, and one visit per access.
-    if (run.remove_reader(&node)) unpin(&node);
-    if (!run.empty()) continue;
-    const unsigned next = run_end(chunk.starts, s);
-    if (next < kChunkBlocks && chunk.runs[next].empty()) {
-      chunk.starts &= ~(std::uint64_t{1} << next);
+    // Parked at most once per covering access, and one visit per access.
+    if (run.readers.remove(&node)) unpin(&node);
+    if (!run.empty() || chunk.runs.size() <= kIdleRuns) {
+      ++i;
+      continue;
     }
-    if (s != 0 && chunk.runs[run_start(chunk.starts, s - 1)].empty()) {
-      chunk.starts &= ~(std::uint64_t{1} << s);
+    if (i + 1 < chunk.runs.size() && state(i + 1).empty()) merge(i + 1);
+    if (i > 0 && state(i - 1).empty()) {
+      merge(i);  // run i is now the one after the merged pair
+      continue;
     }
+    ++i;
   }
 }
 
@@ -244,8 +267,8 @@ void BlockTracker::complete(Node& node, std::vector<Node*>& out) {
   // destroyed).  Runs whose pin was already displaced by a later writer
   // are no-ops here.  A registration that meanwhile finds a still-parked
   // pin sees done_ and links nothing.
-  for (const BlockRange& r : node.touched_ranges_) {
-    for (std::uint64_t c = r.lo / kChunkBlocks; c <= r.hi / kChunkBlocks; ++c) {
+  for (const ByteRange& r : node.touched_ranges_) {
+    for (std::uint64_t c = r.lo >> kChunkShift; c <= r.hi >> kChunkShift; ++c) {
       Stripe& stripe = stripes_[stripe_of(c)];
       support::SpinLockGuard guard(stripe.lock);
       Chunk* chunk = stripe.map.find(c);
@@ -275,7 +298,7 @@ TrackerStats BlockTracker::stats() const {
   s.edges = edges_.load(std::memory_order_relaxed);
   for (const Stripe& stripe : stripes_) {
     stripe.lock.lock();
-    s.blocks_touched += stripe.blocks_ever;
+    s.blocks_touched += stripe.chunks_ever;
     stripe.lock.unlock();
   }
   return s;

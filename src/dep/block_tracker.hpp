@@ -1,11 +1,13 @@
-// Block-level dynamic dependence analysis.
+// Byte-exact dynamic dependence analysis.
 //
 // The paper's runtime extends BDDT [23], which discovers inter-task
-// dependencies at block granularity from the programmer's in()/out()
-// clauses.  This module reimplements that substrate: memory is viewed as
-// fixed-size blocks; for every block the tracker knows the last writer and
-// the readers since that write, and derives RAW, WAR and WAW edges when a
-// new task registers its footprint.
+// dependencies from the programmer's in()/out() clauses.  This module
+// reimplements that substrate: for every byte named by some clause the
+// tracker knows the last unfinished writer and the unfinished readers since
+// that write, and derives RAW, WAR and WAW edges when a new task registers
+// its footprint.  Two accesses conflict exactly when their byte ranges
+// overlap and one of them writes — there is no block rounding, so
+// neighbouring bands of one malloc'd array never alias each other.
 //
 // The tracker is policy-agnostic: it neither schedules nor executes.  The
 // runtime registers each task at spawn time and notifies completion from
@@ -13,29 +15,37 @@
 // one is acceptable for coarse tasks), this tracker is striped and mostly
 // lock-free so fine-grained dependent workloads scale:
 //
-//   * Runs, not blocks.  Block indices are grouped into fixed chunks of
-//     kChunkBlocks (64) blocks.  Inside a chunk a 64-bit run-start mask
-//     partitions the blocks into runs — spans of consecutive blocks that
-//     share one last writer and one reader set — and dependence state is
-//     kept once per run.  Registering an access splits at most two runs
-//     (at its first block and one past its last) and then applies the
-//     RAW/WAW/WAR rule once per run it covers; completion visits the runs
-//     overlapping the node's recorded ranges (one per access).  Cost
-//     therefore scales with runs overlapped, not blocks: a whole-image
-//     in() over 1 MiB of 1 KiB blocks is 16 chunk runs, not 1,024 blocks.
-//     A split copies the run's state and adds one pin per copied slot;
-//     a run left with no writer and no readers merges with an empty
-//     neighbour, so quiet memory collapses back to one run per chunk.
+//   * Runs of bytes.  The address space is cut into fixed 64 KiB chunks,
+//     the unit of striping and locking (block_bytes() reports it).  Inside
+//     a chunk a sorted array of byte offsets partitions the chunk into
+//     runs — spans of consecutive bytes that share one last writer and one
+//     reader set — and dependence state is kept once per run.  Registering
+//     an access splits at most two runs (at its first byte and one past its
+//     last) and then applies the RAW/WAW/WAR rule once per run it covers;
+//     completion visits the runs overlapping the node's recorded ranges
+//     (one per access).  Cost therefore scales with runs overlapped, not
+//     bytes: a whole-image in() over 1 MiB is ~17 chunk runs.  A split
+//     copies the run's state and adds one pin per copied slot.  A chunk
+//     keeps up to kIdleRuns runs, so boundaries that recur op after op
+//     are not split and merged again every time; beyond that, a run left
+//     with no writer and no readers merges with an empty neighbour.
+//   * Reader multiset.  A run's readers live in six inline slots and then
+//     in an open-addressed, linear-probing table with backward-shift
+//     deletion, so adding and removing a reader is O(1) expected however
+//     many tasks read the run — Listing 1 parks every task of a job on the
+//     input image.  It is a multiset: a node parked twice in one run (two
+//     overlapping in() clauses) is removed once per completion visit.
 //   * The chunk map is sharded into cache-line-padded stripes by a
 //     Fibonacci hash of the chunk index; each stripe owns an open-addressed
-//     flat table (support::FlatBlockMap) whose chunks and run states are
-//     reset, never freed, preserving the zero-allocation steady state.
+//     flat table (support::FlatBlockMap) whose chunks, run arrays, run
+//     states and reader tables are reset, never freed, preserving the
+//     zero-allocation steady state.
 //   * register_node() computes the stripe set of the whole footprint up
 //     front and holds those stripe locks — acquired in ascending stripe
 //     order — for the duration of the registration.  Conflicting
 //     registrations therefore serialize in one consistent order across
-//     every shared block, which is what keeps the discovered task graph
-//     acyclic; disjoint footprints proceed in parallel.
+//     every shared byte, which is what keeps the discovered task graph
+//     acyclic; footprints in disjoint stripes proceed in parallel.
 //   * Per-node dependence state lives outside the stripe locks: an atomic
 //     done_ flag and a spinlocked dependents_ list implement a
 //     publish/observe protocol (see "Node-state protocol" below) so that
@@ -78,12 +88,14 @@
 // forgotten.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "support/flat_block_map.hpp"
@@ -127,8 +139,8 @@ template <typename T>
   return {p, count * sizeof(T), Mode::InOut};
 }
 
-/// Inclusive block-index range of one registered access.
-struct BlockRange {
+/// Inclusive byte-address range of one registered access.
+struct ByteRange {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
 };
@@ -178,11 +190,11 @@ class Node {
   std::atomic<bool> done_{false};
   /// Successors; one retained ref each.
   std::vector<Node*> dependents_ SIGRT_GUARDED_BY(dep_lock_);
-  /// One block range per access — the only places this node can be parked
+  /// One byte range per access — the only places this node can be parked
   /// as writer/reader; complete() walks the runs overlapping them.  Two
   /// fit inline (Listing 1's in() + out()) so the task stays small; a
   /// longer footprint spills once per pool slot and keeps the capacity.
-  support::SmallVec<BlockRange, 2> touched_ranges_;
+  support::SmallVec<ByteRange, 2> touched_ranges_;
   /// De-duplication during one registration; stamp values are
   /// process-unique, so a stale stamp can never false-positive.
   std::atomic<std::uint64_t> visit_stamp_{0};
@@ -199,7 +211,9 @@ class Node {
 struct TrackerStats {
   std::uint64_t registered_nodes = 0;
   std::uint64_t edges = 0;          // dependency edges discovered
-  std::uint64_t blocks_touched = 0; // distinct blocks ever registered
+  /// Distinct block_bytes()-sized chunks ever registered (reset() forgets
+  /// which, so a chunk registered again after it counts again).
+  std::uint64_t blocks_touched = 0;
 };
 
 class BlockTracker {
@@ -208,12 +222,12 @@ class BlockTracker {
   /// uint64 mask, which makes sorted-order multi-stripe locking a ctz loop.
   static constexpr unsigned kMaxStripes = 64;
 
-  /// `block_bytes` must be a power of two.  `stripes` selects the live
-  /// stripe count — a power of two in [1, kMaxStripes]; 0 selects the
-  /// ceiling.  Small machines waste no cache walking 64 mostly-empty
-  /// shards; the runtime derives its value from the CPU topology
-  /// (~4 stripes per worker, see topo::Topology::recommended_stripes).
-  explicit BlockTracker(std::size_t block_bytes = 1024, unsigned stripes = 0);
+  /// `stripes` selects the live stripe count — a power of two in
+  /// [1, kMaxStripes]; 0 selects the ceiling.  Small machines waste no
+  /// cache walking 64 mostly-empty shards; the runtime derives its value
+  /// from the CPU topology (~4 stripes per worker, see
+  /// topo::Topology::recommended_stripes).
+  explicit BlockTracker(unsigned stripes = 0);
 
   BlockTracker(const BlockTracker&) = delete;
   BlockTracker& operator=(const BlockTracker&) = delete;
@@ -244,134 +258,223 @@ class BlockTracker {
   void reset();
 
   [[nodiscard]] TrackerStats stats() const;
-  [[nodiscard]] std::size_t block_bytes() const noexcept { return block_bytes_; }
+  /// The tracker's unit of locked work: the chunk size.  Dependences are
+  /// byte-exact whatever this is; a registration or completion visits (and
+  /// a stripe lock covers) one chunk at a time, so an access costs about
+  /// one visit per block_bytes() it spans.
+  [[nodiscard]] std::size_t block_bytes() const noexcept { return kChunkBytes; }
   [[nodiscard]] unsigned stripe_count() const noexcept { return stripe_count_; }
 
  private:
-  /// Blocks per chunk: one bit each in a uint64 run-start mask.
-  static constexpr unsigned kChunkBlocks = 64;
+  /// Chunk size: bytes per map entry and per stripe-lock visit.  Offsets
+  /// inside a chunk fit a uint32_t.
+  static constexpr unsigned kChunkShift = 16;
+  static constexpr std::uint64_t kChunkBytes = std::uint64_t{1} << kChunkShift;
 
-  /// History of one run.  Readers since the last write live in a small
-  /// inline array that spills into a vector; both are reset — never
-  /// freed — when readers are displaced, and a split copy-assigns into a
-  /// slot that keeps its spill capacity, so a warm chunk never allocates.
-  struct RunState {
-    static constexpr unsigned kInlineReaders = 6;
+  /// Runs a chunk keeps before emptied runs merge.  Below it, boundaries
+  /// that recur op after op (rows, bands) stay in place: registrations
+  /// find their split points already there and completions move no
+  /// memory, which keeps the stripe-lock hold short when a spawner and
+  /// completing workers share a chunk.  Above it, a run left empty merges
+  /// with empty neighbours, which bounds a chunk's idle runs.
+  static constexpr std::size_t kIdleRuns = 128;
 
-    Node* last_writer = nullptr;  ///< pinned while parked here
-    std::uint32_t reader_count = 0;
-    std::array<Node*, kInlineReaders> readers_inline{};
-    std::vector<Node*> readers_spill;  ///< readers beyond the inline array
+  /// Readers of one run: a multiset of nodes with O(1) expected add and
+  /// remove.  Up to kInline readers sit in an inline array; beyond that
+  /// they move into an open-addressed, linear-probing table (load at most
+  /// 1/2, backward-shift deletion, so no tombstones).  Emptying the set by
+  /// removals or clear() returns it to inline mode with the table all null;
+  /// the table is kept, never freed, so a warm run never allocates.
+  class ReaderSet {
+   public:
+    static constexpr std::uint32_t kInline = 6;
 
-    [[nodiscard]] bool empty() const noexcept {
-      return last_writer == nullptr && reader_count == 0;
-    }
+    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
-    void add_reader(Node* n) {
-      if (reader_count < kInlineReaders) {
-        readers_inline[reader_count] = n;
-      } else {
-        readers_spill.push_back(n);
-      }
-      ++reader_count;
-    }
-
-    /// Swap-removes one occurrence of `n`; true when found.
-    bool remove_reader(Node* n) noexcept {
-      const std::uint32_t inline_count =
-          reader_count < kInlineReaders ? reader_count : kInlineReaders;
-      for (std::uint32_t i = 0; i < inline_count; ++i) {
-        if (readers_inline[i] != n) continue;
-        if (!readers_spill.empty()) {
-          readers_inline[i] = readers_spill.back();
-          readers_spill.pop_back();
-        } else {
-          readers_inline[i] = readers_inline[inline_count - 1];
+    void add(Node* n) {
+      if (!hashed_) {
+        if (size_ < kInline) {
+          inline_[size_++] = n;
+          return;
         }
-        --reader_count;
-        return true;
+        if (cap_ == 0) rehash(kMinTable);
+        hashed_ = true;
+        for (Node* r : inline_) insert(r);
+      } else if ((size_ + 1) * 2 > cap_) {
+        rehash(cap_ * 2);
       }
-      for (std::size_t i = 0; i < readers_spill.size(); ++i) {
-        if (readers_spill[i] != n) continue;
-        readers_spill[i] = readers_spill.back();
-        readers_spill.pop_back();
-        --reader_count;
-        return true;
+      insert(n);
+      ++size_;
+    }
+
+    /// Removes one occurrence of `n`; true when found.
+    bool remove(Node* n) noexcept {
+      if (!hashed_) {
+        for (std::uint32_t i = 0; i < size_; ++i) {
+          if (inline_[i] != n) continue;
+          inline_[i] = inline_[--size_];
+          return true;
+        }
+        return false;
       }
-      return false;
+      const std::uint32_t mask = cap_ - 1;
+      std::uint32_t i = home(n);
+      for (; table_[i] != n; i = (i + 1) & mask) {
+        if (table_[i] == nullptr) return false;
+      }
+      erase_at(i);
+      if (--size_ == 0) hashed_ = false;
+      return true;
     }
 
     template <typename F>
-    void for_each_reader(F&& f) {
-      const std::uint32_t inline_count =
-          reader_count < kInlineReaders ? reader_count : kInlineReaders;
-      for (std::uint32_t i = 0; i < inline_count; ++i) f(readers_inline[i]);
-      for (Node* n : readers_spill) f(n);
+    void for_each(F&& f) const {
+      if (!hashed_) {
+        for (std::uint32_t i = 0; i < size_; ++i) f(inline_[i]);
+        return;
+      }
+      for (std::uint32_t i = 0; i < cap_; ++i) {
+        if (table_[i] != nullptr) f(table_[i]);
+      }
     }
 
-    void clear_readers() noexcept {
-      reader_count = 0;
-      readers_spill.clear();  // capacity kept: reset, not freed
+    void clear() noexcept {
+      if (hashed_) std::fill_n(table_.get(), cap_, nullptr);
+      hashed_ = false;
+      size_ = 0;
+    }
+
+    /// Replaces the contents with a copy of `src`, reusing this set's table
+    /// (the set itself is move-only).
+    void assign(const ReaderSet& src) {
+      clear();
+      src.for_each([this](Node* n) { add(n); });
+    }
+
+   private:
+    static constexpr std::uint32_t kMinTable = 16;  // power of two
+
+    [[nodiscard]] std::uint32_t home(const Node* n) const noexcept {
+      return static_cast<std::uint32_t>(
+          (static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(n)) *
+           0x9E3779B97F4A7C15ULL) >>
+          shift_);
+    }
+
+    void insert(Node* n) noexcept {
+      const std::uint32_t mask = cap_ - 1;
+      std::uint32_t i = home(n);
+      while (table_[i] != nullptr) i = (i + 1) & mask;
+      table_[i] = n;
+    }
+
+    /// Empties slot `i`, shifting later entries of its probe cluster back
+    /// so that every entry stays reachable from its home slot.
+    void erase_at(std::uint32_t i) noexcept {
+      const std::uint32_t mask = cap_ - 1;
+      for (std::uint32_t j = (i + 1) & mask; table_[j] != nullptr;
+           j = (j + 1) & mask) {
+        // The entry at j may fill the hole unless its home lies
+        // cyclically in (i, j].
+        if (((j - home(table_[j])) & mask) >= ((j - i) & mask)) {
+          table_[i] = table_[j];
+          i = j;
+        }
+      }
+      table_[i] = nullptr;
+    }
+
+    /// Moves the table entries (if any) into a fresh table of `cap` slots.
+    void rehash(std::uint32_t cap) {
+      std::unique_ptr<Node*[]> old = std::exchange(
+          table_, std::make_unique<Node*[]>(cap));  // value-init: all null
+      const std::uint32_t old_cap = std::exchange(cap_, cap);
+      shift_ = 64u - static_cast<unsigned>(std::countr_zero(cap));
+      if (!hashed_) return;
+      for (std::uint32_t i = 0; i < old_cap; ++i) {
+        if (old[i] != nullptr) insert(old[i]);
+      }
+    }
+
+    std::array<Node*, kInline> inline_{};
+    std::unique_ptr<Node*[]> table_;
+    std::uint32_t size_ = 0;
+    std::uint32_t cap_ = 0;  ///< table slots (power of two), 0 before first use
+    unsigned shift_ = 64;    ///< 64 - log2(cap_)
+    bool hashed_ = false;    ///< entries live in table_, not inline_
+  };
+
+  /// History of one run: the unfinished last writer and the unfinished
+  /// readers since that write.
+  struct RunState {
+    Node* last_writer = nullptr;  ///< pinned while parked here
+    ReaderSet readers;            ///< each occurrence pinned
+
+    [[nodiscard]] bool empty() const noexcept {
+      return last_writer == nullptr && readers.empty();
     }
   };
 
-  /// kChunkBlocks consecutive blocks.  Bit i of `starts` marks block i as
-  /// the first block of a run (bit 0 always); runs[i] holds that run's
-  /// state and is meaningful only at run starts (elsewhere it is empty).
+  /// A run boundary: the run's first byte as an offset into its chunk and
+  /// the slot of its state in the chunk's state slab.
+  struct Run {
+    std::uint32_t start;
+    std::uint32_t state;
+  };
+
+  /// kChunkBytes consecutive bytes.  `runs` is sorted by start and begins
+  /// at offset 0; each run names its own RunState slot.  Slots freed by
+  /// merges go to `free_states` (empty, table capacity kept) and are
+  /// reused by later splits; all three vectors only ever grow, so a warm
+  /// chunk never allocates.
   struct Chunk {
-    std::uint64_t starts = 1;
-    /// Blocks ever registered (stats).
-    std::uint64_t seen = 0;
-    /// Allocated on the chunk's first registration, then kept.
-    std::unique_ptr<RunState[]> runs;
+    std::vector<Run> runs;
+    std::vector<RunState> states;
+    std::vector<std::uint32_t> free_states;
   };
 
-  /// First block of the run containing block `pos` of a chunk.
-  [[nodiscard]] static unsigned run_start(std::uint64_t starts,
-                                          unsigned pos) noexcept {
-    const std::uint64_t upto = starts & (~std::uint64_t{0} >> (63u - pos));
-    return 63u - static_cast<unsigned>(std::countl_zero(upto));
-  }
-  /// One past the last block of the run starting at `s` (kChunkBlocks at
-  /// the chunk's end).
-  [[nodiscard]] static unsigned run_end(std::uint64_t starts,
-                                        unsigned s) noexcept {
-    const std::uint64_t above =
-        s + 1 >= kChunkBlocks ? 0 : starts & (~std::uint64_t{0} << (s + 1));
-    return above == 0 ? kChunkBlocks
-                      : static_cast<unsigned>(std::countr_zero(above));
-  }
+  /// An empty RunState slot of `chunk` (may grow `states`: invalidates
+  /// RunState references into it).
+  static std::uint32_t new_state(Chunk& chunk);
 
-  /// Blocks [first, last] of chunk `c` that block range `r` covers.
+  /// Index of the run containing byte `off` of `chunk`.
+  [[nodiscard]] static std::size_t run_at(const Chunk& chunk,
+                                          std::uint32_t off) noexcept;
+
+  /// Bytes [first, last] of chunk `c` that byte range `r` covers.
   struct ChunkSpan {
-    unsigned first;
-    unsigned last;
+    std::uint32_t first;
+    std::uint32_t last;
   };
   [[nodiscard]] static ChunkSpan chunk_span(std::uint64_t c,
-                                            const BlockRange& r) noexcept {
-    const auto pos = [](std::uint64_t b) {
-      return static_cast<unsigned>(b % kChunkBlocks);
+                                            const ByteRange& r) noexcept {
+    const auto off = [](std::uint64_t byte) {
+      return static_cast<std::uint32_t>(byte & (kChunkBytes - 1));
     };
-    return {c == r.lo / kChunkBlocks ? pos(r.lo) : 0u,
-            c == r.hi / kChunkBlocks ? pos(r.hi) : kChunkBlocks - 1};
+    return {c == r.lo >> kChunkShift ? off(r.lo) : 0u,
+            c == r.hi >> kChunkShift ? off(r.hi)
+                                     : static_cast<std::uint32_t>(kChunkBytes - 1)};
   }
 
-  /// Makes block `pos` a run start by copying its run's state; every copied
-  /// slot adds one pin (to `parks` when the slot is `self`'s own).
-  static void split(Chunk& chunk, unsigned pos, const Node* self,
-                    std::int64_t& parks);
+  /// Makes byte `off` a run start (no-op at kChunkBytes) by copying its
+  /// run's state; every copied slot adds one pin (to `parks` when the slot
+  /// is `self`'s own).  Returns the index of the run starting at `off`.
+  static std::size_t split(Chunk& chunk, std::uint64_t off, const Node* self,
+                           std::int64_t& parks);
 
-  /// Drops `node`'s pins from the runs overlapping blocks [a, b] of
-  /// `chunk`, merging runs left empty with empty neighbours.
-  static void unpark(Chunk& chunk, unsigned a, unsigned b, Node& node) noexcept;
+  /// Drops `node`'s pins from the runs overlapping bytes [a, b] of
+  /// `chunk`; past kIdleRuns runs, merges runs left empty with empty
+  /// neighbours.
+  static void unpark(Chunk& chunk, std::uint32_t a, std::uint32_t b,
+                     Node& node) noexcept;
 
   /// One shard of the chunk map.  Padded so neighbouring stripes never
   /// share a cache line under concurrent register/complete traffic.
   struct alignas(64) Stripe {
     mutable support::SpinLock lock;
     support::FlatBlockMap<Chunk> map SIGRT_GUARDED_BY(lock);
-    /// Distinct blocks ever registered in this stripe's chunks.
-    std::uint64_t blocks_ever SIGRT_GUARDED_BY(lock) = 0;
+    /// Chunks ever inserted into this stripe's map (stats).
+    std::uint64_t chunks_ever SIGRT_GUARDED_BY(lock) = 0;
   };
 
   [[nodiscard]] unsigned stripe_of(std::uint64_t chunk) const noexcept {
@@ -415,12 +518,13 @@ class BlockTracker {
     }
   }
 
-  [[nodiscard]] std::uint64_t first_block(const void* ptr) const noexcept;
-  [[nodiscard]] std::uint64_t last_block(const void* ptr,
-                                         std::size_t bytes) const noexcept;
+  /// Inclusive byte range of a non-empty access.
+  [[nodiscard]] static ByteRange byte_range(const Access& a) noexcept {
+    const auto lo =
+        static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(a.ptr));
+    return {lo, lo + a.bytes - 1};
+  }
 
-  const std::size_t block_bytes_;
-  const unsigned block_shift_;
   const unsigned stripe_count_;   ///< live stripes (power of two <= kMaxStripes)
   const unsigned stripe_shift_;   ///< 64 - log2(stripe_count_)
   const std::uint64_t all_stripes_mask_;

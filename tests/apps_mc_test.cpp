@@ -106,8 +106,17 @@ TEST(Mc, PerforationKeepsAllPointsWithFewerWalks) {
 }
 
 TEST(Mc, LqhRunsKeepQualityBounded) {
-  const auto r = mc::run(small_options(Variant::LQH, Degree::Medium));
+  // LQH decides from the history of the worker that dequeues each task, so
+  // with several workers the quality depends on how the points happen to
+  // split between them (one worker's localized view can approximate most
+  // of the significant points, §4.2).  Zero workers run every task on the
+  // spawning thread in spawn order: one history, one deterministic split.
+  auto o = small_options(Variant::LQH, Degree::Medium);
+  o.common.workers = 0;
+  const auto r = mc::run(o);
+  EXPECT_GT(r.tasks_approximate, 0u);
   EXPECT_LT(r.quality, 0.35);
+  EXPECT_EQ(mc::run(o).quality, r.quality);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Property test: end-to-end dependence enforcement.
 //
 // Random tasks draw random byte ranges (read/write/rw) over a shared arena.
-// For any two tasks whose accesses conflict at *block* granularity
-// (write-write or read-write overlap), the later-spawned task must not
+// For any two tasks whose accesses conflict — some byte is named by both
+// and at least one of them writes it — the later-spawned task must not
 // start before the earlier one finished — the definition of the in()/out()
 // contract the paper's runtime inherits from BDDT.  Verified against a
 // brute-force conflict oracle over recorded start/end timestamps.
@@ -14,7 +14,6 @@
 #include <barrier>
 #include <bit>
 #include <chrono>
-#include <map>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -32,15 +31,14 @@ using sigrt::RuntimeConfig;
 
 struct Params {
   unsigned workers;
-  std::size_t block_bytes;
   std::size_t tasks;
   std::uint64_t seed;
 };
 
 std::string param_name(const testing::TestParamInfo<Params>& info) {
   const Params& p = info.param;
-  return "w" + std::to_string(p.workers) + "_b" + std::to_string(p.block_bytes) +
-         "_n" + std::to_string(p.tasks) + "_s" + std::to_string(p.seed);
+  return "w" + std::to_string(p.workers) + "_n" + std::to_string(p.tasks) +
+         "_s" + std::to_string(p.seed);
 }
 
 struct AccessSpec {
@@ -78,7 +76,6 @@ TEST_P(DepProperty, ConflictingTasksNeverOverlapInTime) {
   RuntimeConfig c;
   c.workers = p.workers;
   c.policy = PolicyKind::Agnostic;
-  c.block_bytes = p.block_bytes;
   {
     Runtime rt(c);
     for (std::size_t t = 0; t < p.tasks; ++t) {
@@ -98,21 +95,15 @@ TEST_P(DepProperty, ConflictingTasksNeverOverlapInTime) {
     rt.wait_all();
   }
 
-  // Brute-force oracle: block-granular conflict == some block is touched by
-  // both tasks with at least one write.
-  auto blocks_of = [&](const AccessSpec& s) {
-    const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(arena.data());
-    const std::uint64_t lo = (base + s.offset) / p.block_bytes;
-    const std::uint64_t hi = (base + s.offset + s.bytes - 1) / p.block_bytes;
-    return std::pair{lo, hi};
-  };
+  // Brute-force oracle: conflict == some byte is touched by both tasks
+  // with at least one write.
   auto conflicts = [&](std::size_t i, std::size_t j) {
     for (const AccessSpec& a : specs[i]) {
       for (const AccessSpec& b : specs[j]) {
         if (!sigrt::dep::writes(a.mode) && !sigrt::dep::writes(b.mode)) continue;
-        const auto [alo, ahi] = blocks_of(a);
-        const auto [blo, bhi] = blocks_of(b);
-        if (alo <= bhi && blo <= ahi) return true;
+        if (a.offset < b.offset + b.bytes && b.offset < a.offset + a.bytes) {
+          return true;
+        }
       }
     }
     return false;
@@ -134,14 +125,14 @@ TEST_P(DepProperty, ConflictingTasksNeverOverlapInTime) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DepProperty,
     testing::ValuesIn(std::vector<Params>{
-        {0, 64, 60, 1},
-        {0, 1024, 60, 2},
-        {1, 256, 80, 3},
-        {2, 64, 80, 4},
-        {4, 1024, 80, 5},
-        {4, 4096, 60, 6},
-        {2, 256, 120, 7},
-        {4, 64, 120, 8},
+        {0, 60, 1},
+        {0, 60, 2},
+        {1, 80, 3},
+        {2, 80, 4},
+        {4, 80, 5},
+        {4, 60, 6},
+        {2, 120, 7},
+        {4, 120, 8},
     }),
     param_name);
 
@@ -171,37 +162,44 @@ class CountingNode : public Node {
   std::atomic<std::uint32_t> gate{0};
 };
 
-// Single-threaded reference implementation of the block tracker's
-// semantics — the per-block single-map algorithm, reduced to indices.
-// The run-based striped tracker, driven serially, must agree with it
-// exactly: same edges, same dependents, same references held.
+// Single-threaded reference implementation of the tracker's semantics:
+// one writer/readers record per byte of the arena — no runs, chunks or
+// stripes.  The run-based striped tracker, driven serially, must agree
+// with it exactly: same edges, same dependents, same references held.
+// A completed node stays in the byte records (it links nothing, like a
+// done node in the tracker), and a per-node count of the slots it still
+// occupies stands in for the tracker's pins.
 class ReferenceTracker {
  public:
-  explicit ReferenceTracker(std::size_t block_bytes, std::size_t nodes)
-      : shift_(static_cast<unsigned>(std::countr_zero(block_bytes))),
-        nodes_(nodes) {}
+  ReferenceTracker(const std::uint8_t* base, std::size_t bytes,
+                   std::size_t nodes)
+      : base_(base), bytes_(bytes), nodes_(nodes) {}
 
   std::size_t register_node(std::size_t id, const std::vector<Access>& accesses) {
     ++stamp_;
     std::size_t preds = 0;
     for (const Access& a : accesses) {
       if (a.ptr == nullptr || a.bytes == 0) continue;
-      const auto base =
-          static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(a.ptr));
-      const std::uint64_t lo = base >> shift_;
-      const std::uint64_t hi = (base + a.bytes - 1) >> shift_;
-      for (std::uint64_t b = lo; b <= hi; ++b) {
-        BlockState& st = blocks_[b];
+      const auto lo = static_cast<std::size_t>(
+          static_cast<const std::uint8_t*>(a.ptr) - base_);
+      for (std::size_t b = lo; b < lo + a.bytes; ++b) {
+        ByteState& st = bytes_[b];
         if (sigrt::dep::reads(a.mode) && link(st.writer, id)) ++preds;
         if (sigrt::dep::writes(a.mode)) {
           if (link(st.writer, id)) ++preds;
           for (std::size_t r : st.readers) {
             if (link(static_cast<std::ptrdiff_t>(r), id)) ++preds;
+            vacate(r);
           }
           st.readers.clear();
-          st.writer = static_cast<std::ptrdiff_t>(id);
+          if (st.writer != static_cast<std::ptrdiff_t>(id)) {
+            if (st.writer >= 0) vacate(static_cast<std::size_t>(st.writer));
+            st.writer = static_cast<std::ptrdiff_t>(id);
+            ++nodes_[id].slots;
+          }
         } else {
           st.readers.push_back(id);
+          ++nodes_[id].slots;
         }
       }
     }
@@ -210,26 +208,20 @@ class ReferenceTracker {
 
   std::vector<std::size_t> complete(std::size_t id) {
     nodes_[id].done = true;
-    for (auto& [b, st] : blocks_) {
-      if (st.writer == static_cast<std::ptrdiff_t>(id)) st.writer = -1;
-      std::erase(st.readers, id);
-    }
+    nodes_[id].slots = 0;
     auto out = std::move(nodes_[id].dependents);
     nodes_[id].dependents.clear();
     return out;
   }
 
   /// References the tracker should hold on each node: one while it is
-  /// parked as any block's writer or reader, plus one per unfinished
+  /// parked as any byte's writer or reader, plus one per unfinished
   /// predecessor's dependents entry naming it.
   std::vector<std::uint64_t> held_references() const {
     std::vector<std::uint64_t> held(nodes_.size(), 0);
-    for (const auto& [b, st] : blocks_) {
-      if (st.writer >= 0) held[static_cast<std::size_t>(st.writer)] = 1;
-      for (std::size_t r : st.readers) held[r] = 1;
-    }
-    for (const RefNode& n : nodes_) {
-      for (std::size_t d : n.dependents) ++held[d];
+    for (std::size_t id = 0; id < nodes_.size(); ++id) {
+      if (nodes_[id].slots > 0) ++held[id];
+      for (std::size_t d : nodes_[id].dependents) ++held[d];
     }
     return held;
   }
@@ -238,9 +230,10 @@ class ReferenceTracker {
   struct RefNode {
     bool done = false;
     std::uint64_t visit = 0;
+    std::uint64_t slots = 0;  ///< writer/reader slots held while unfinished
     std::vector<std::size_t> dependents;
   };
-  struct BlockState {
+  struct ByteState {
     std::ptrdiff_t writer = -1;
     std::vector<std::size_t> readers;
   };
@@ -254,10 +247,15 @@ class ReferenceTracker {
     return true;
   }
 
-  unsigned shift_;
+  /// A slot of `id` is displaced (a done node holds none).
+  void vacate(std::size_t id) {
+    if (!nodes_[id].done) --nodes_[id].slots;
+  }
+
+  const std::uint8_t* base_;
   std::uint64_t stamp_ = 0;
+  std::vector<ByteState> bytes_;
   std::vector<RefNode> nodes_;
-  std::map<std::uint64_t, BlockState> blocks_;
 };
 
 // Footprint generators for the serial oracle.  Each draws one task's
@@ -270,7 +268,7 @@ Mode random_mode(sigrt::support::Xoshiro256& rng) {
   return m == 0 ? Mode::In : (m == 1 ? Mode::Out : Mode::InOut);
 }
 
-// 1-3 accesses of at most 4 blocks: many small runs inside one chunk.
+// 1-3 accesses of at most 256 bytes: many small runs inside one chunk.
 std::vector<Access> small_footprint(sigrt::support::Xoshiro256& rng,
                                     std::uint8_t* arena, std::size_t bytes) {
   std::vector<Access> accesses;
@@ -307,8 +305,9 @@ std::vector<Access> wide_footprint(sigrt::support::Xoshiro256& rng,
 
 // Listing 1: the first half of the arena is the input image, the second
 // the output.  Most tasks read the whole input and write one band of the
-// output (bands are not block-aligned, so neighbours share edge blocks);
-// now and then a task rewrites the whole input (the next frame).
+// output (bands are unaligned and abut, so a tracker that rounded them to
+// blocks would chain neighbours); now and then a task rewrites the whole
+// input (the next frame).
 std::vector<Access> listing1_footprint(sigrt::support::Xoshiro256& rng,
                                        std::uint8_t* arena, std::size_t bytes) {
   const std::size_t half = bytes / 2;
@@ -319,12 +318,29 @@ std::vector<Access> listing1_footprint(sigrt::support::Xoshiro256& rng,
   return {{arena, half, Mode::In}, {arena + half + k * band, band, Mode::Out}};
 }
 
+// Stencil row bands whose width is no power of two: the first half of the
+// arena is a grid of rows, the second its output.  Most tasks read rows
+// y-1..y+1 and write output row y; now and then one updates an input row
+// in place (inout), so reader and writer runs start at every row edge.
+std::vector<Access> rows_footprint(sigrt::support::Xoshiro256& rng,
+                                   std::uint8_t* arena, std::size_t bytes) {
+  constexpr std::size_t kRow = 97;
+  const std::size_t half = bytes / 2;
+  const std::size_t rows = half / kRow;
+  const std::size_t y = rng.bounded(rows);
+  if (rng.bounded(6) == 0) return {{arena + y * kRow, kRow, Mode::InOut}};
+  const std::size_t lo = y == 0 ? 0 : y - 1;
+  const std::size_t hi = std::min(y + 1, rows - 1);
+  return {{arena + lo * kRow, (hi - lo + 1) * kRow, Mode::In},
+          {arena + half + y * kRow, kRow, Mode::Out}};
+}
+
 TEST(DepOracle, SerializedStripedTrackerMatchesReference) {
-  constexpr std::size_t kBlock = 64;
   constexpr std::size_t kNodes = 300;
-  // The wide arenas span 3.5 chunks of 64 blocks and start at an offset
-  // that aligns neither blocks nor chunks to them.
-  constexpr std::size_t kWide = 224 * kBlock;
+  // The wide arenas span 3.5 chunks (under the tracker's 64 KiB chunks)
+  // and start at an offset aligned to nothing.
+  constexpr std::size_t kChunk = 1 << 16;
+  constexpr std::size_t kWide = 7 * kChunk / 2;
   alignas(4096) static std::array<std::uint8_t, kWide + 4096> storage;
   struct Shape {
     const char* name;
@@ -333,18 +349,19 @@ TEST(DepOracle, SerializedStripedTrackerMatchesReference) {
     std::size_t arena_bytes;
   };
   const Shape shapes[] = {
-      {"small", small_footprint, 0, 64 * kBlock},
+      {"small", small_footprint, 0, 4096},
       {"wide", wide_footprint, 1000, kWide},
       {"listing1", listing1_footprint, 1000, kWide},
+      {"rows", rows_footprint, 1003, kWide},
   };
 
   for (const Shape& shape : shapes) {
     for (std::uint64_t seed : {11u, 22u, 33u}) {
-      BlockTracker tracker(kBlock);
-      ReferenceTracker reference(kBlock, kNodes);
+      BlockTracker tracker;
       std::vector<CountingNode> nodes(kNodes);
       sigrt::support::Xoshiro256 rng(seed);
       std::uint8_t* const arena = storage.data() + shape.offset;
+      ReferenceTracker reference(arena, shape.arena_bytes, kNodes);
 
       std::vector<std::size_t> live;  // registered, not yet completed
       std::size_t next = 0;
@@ -412,9 +429,10 @@ struct OracleParams {
 // one node, and no node of the step executes or completes until all of the
 // step's nodes are registered.  Every conflicting pair within a step thus
 // yields its edge regardless of thread timing.  Checked properties:
-//   * conflict exclusion — two tasks whose footprints conflict at block
-//     granularity never execute concurrently (per-block writer/reader
-//     occupancy counters);
+//   * conflict exclusion — two tasks whose footprints conflict never
+//     execute concurrently (writer/reader occupancy counters per cell;
+//     every access covers whole cells, so cell conflicts are byte
+//     conflicts);
 //   * edge balance — every predecessor counted by register_node() is
 //     handed out by exactly one complete(), and the tracker's edge stat
 //     agrees;
@@ -424,25 +442,26 @@ struct OracleParams {
 //     guards against) would deadlock the gates; the bounded spin turns
 //     that into a failure instead of a hang.
 // The wide-read row draws Listing-1 footprints instead: a whole-input in()
-// over several chunks plus a one-block out() band of the output, with an
-// occasional whole-input out() (the next frame).
+// over several tracker chunks plus a one-cell out() band of the output,
+// with an occasional whole-input out() (the next frame).
 class DepConcurrentOracle : public testing::TestWithParam<OracleParams> {};
 
 TEST_P(DepConcurrentOracle, ConflictExclusionEdgeAndRefBalance) {
   const OracleParams& p = GetParam();
-  constexpr std::size_t kBlock = 64;
+  // Footprints are drawn in cells; 1 KiB cells make the wide-read input
+  // span ~3 of the tracker's 64 KiB chunks.
+  const std::size_t kBlock = p.wide_read ? 1024 : 64;
   constexpr std::size_t kSmallBlocks = 48;   // small arena: heavy overlap
-  constexpr std::size_t kInputBlocks = 200;  // wide-read input: ~3 chunks
+  constexpr std::size_t kInputBlocks = 200;  // wide-read input cells
   constexpr std::size_t kBlocks = kInputBlocks + 16;
-  constexpr std::size_t kArena = kBlocks * kBlock;
   constexpr std::uint32_t kHold = 1u << 20;
-  static std::vector<std::uint8_t> arena(kArena);
+  static std::vector<std::uint8_t> arena(kBlocks * 1024);
 
-  BlockTracker tracker(kBlock);
+  BlockTracker tracker;
   const std::size_t total = p.threads * p.nodes_per_thread;
   std::vector<CountingNode> nodes(total);
 
-  // Per-block occupancy the "execution" phase checks against.
+  // Per-cell occupancy the "execution" phase checks against.
   std::array<std::atomic<int>, kBlocks> writers{};
   std::array<std::atomic<int>, kBlocks> readers{};
   std::atomic<std::uint64_t> violations{0};
@@ -460,9 +479,9 @@ TEST_P(DepConcurrentOracle, ConflictExclusionEdgeAndRefBalance) {
     for (std::size_t i = 0; i < p.nodes_per_thread; ++i) {
       CountingNode& node = nodes[tid * p.nodes_per_thread + i];
 
-      // Random footprint: 1-3 accesses of 1-4 blocks each.  The occupancy
-      // oracle's footprint is de-duplicated per block (a task may name a
-      // block through several accesses; against *itself* that is never a
+      // Random footprint: 1-3 accesses of 1-4 cells each.  The occupancy
+      // oracle's footprint is de-duplicated per cell (a task may name a
+      // cell through several accesses; against *itself* that is never a
       // conflict).
       std::vector<Access> accesses;
       std::array<std::uint8_t, kBlocks> role{};  // 1 = read, 2 = write
@@ -492,7 +511,7 @@ TEST_P(DepConcurrentOracle, ConflictExclusionEdgeAndRefBalance) {
         const auto m = rng.bounded(3);
         add(lo, hi, m == 0 ? Mode::In : (m == 1 ? Mode::Out : Mode::InOut));
       }
-      std::vector<std::pair<std::size_t, bool>> foot;  // (block, writes)
+      std::vector<std::pair<std::size_t, bool>> foot;  // (cell, writes)
       for (std::size_t b = 0; b < kBlocks; ++b) {
         if (role[b] != 0) foot.emplace_back(b, role[b] == 2);
       }
@@ -517,8 +536,8 @@ TEST_P(DepConcurrentOracle, ConflictExclusionEdgeAndRefBalance) {
         }
       }
 
-      // "Execute": occupy every block of the footprint and verify no
-      // conflicting occupant, with block-granular reader/writer rules.
+      // "Execute": occupy every cell of the footprint and verify no
+      // conflicting occupant, with per-cell reader/writer rules.
       for (const auto& [b, w] : foot) {
         if (w) {
           if (writers[b].fetch_add(1, std::memory_order_acq_rel) != 0 ||
