@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "core/sigrt.hpp"
-#include "fault/fault.hpp"
 #include "support/timer.hpp"
 
 namespace {
@@ -265,24 +264,44 @@ void redo_body(std::uint64_t i) {
   g_sink.fetch_add(acc, std::memory_order_relaxed);
 }
 
-std::int64_t redo_round_plain(sigrt::Runtime& rt) {
-  const std::int64_t t0 = sigrt::support::now_ns();
+void spawn_plain(sigrt::Runtime& rt) {
   for (std::uint64_t i = 0; i < kRedoTasks; ++i) {
     rt.spawn(sigrt::task([i] { redo_body(i); }));
   }
-  rt.wait_all();
-  return sigrt::support::now_ns() - t0;
 }
 
-std::int64_t redo_round_checked(sigrt::Runtime& rt) {
-  const std::int64_t t0 = sigrt::support::now_ns();
+void spawn_checked(sigrt::Runtime& rt) {
   for (std::uint64_t i = 0; i < kRedoTasks; ++i) {
     rt.spawn(sigrt::task([i] { redo_body(i); })
                  .check([] { return true; })
                  .max_redos(2));
   }
+}
+
+using SpawnRound = void (*)(sigrt::Runtime&);
+
+std::int64_t timed_round(sigrt::Runtime& rt, SpawnRound spawn_round) {
+  const std::int64_t t0 = sigrt::support::now_ns();
+  spawn_round(rt);
   rt.wait_all();
   return sigrt::support::now_ns() - t0;
+}
+
+// Runs one round with every task live at once: a gate task holds the single
+// worker until the whole round is spawned.  How far the spawner runs ahead
+// of the worker (and so how many task slots an ordinary round holds) varies
+// from round to round; a gated round reaches the ceiling, so the task pool
+// and the worker's queues never grow during a measured round.
+void gated_round(sigrt::Runtime& rt, SpawnRound spawn_round) {
+  std::atomic<int> gate{0};  // 1: holding the worker, 2: released
+  rt.spawn(sigrt::task([&gate] {
+    gate.store(1, std::memory_order_release);
+    while (gate.load(std::memory_order_acquire) != 2) std::this_thread::yield();
+  }));
+  while (gate.load(std::memory_order_acquire) != 1) std::this_thread::yield();
+  spawn_round(rt);
+  gate.store(2, std::memory_order_release);
+  rt.wait_all();
 }
 
 struct RedoOverheadRecord {
@@ -312,12 +331,13 @@ RedoOverheadRecord measure_redo_overhead() {
   c.record_task_log = false;
   sigrt::Runtime rt(c);
 
-  // Warm both shapes until a full round allocates nothing.
-  for (int r = 0; r < 6; ++r) {
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-    (void)redo_round_plain(rt);
-    (void)redo_round_checked(rt);
-    if (r > 0 && g_allocs.load(std::memory_order_relaxed) == before) break;
+  // Warm both shapes to their allocation high-water mark, then run a few
+  // ordinary rounds for cache and branch warmth.
+  gated_round(rt, spawn_plain);
+  gated_round(rt, spawn_checked);
+  for (int r = 0; r < 2; ++r) {
+    (void)timed_round(rt, spawn_plain);
+    (void)timed_round(rt, spawn_checked);
   }
 
   std::vector<std::int64_t> plain_ns, checked_ns;
@@ -327,11 +347,11 @@ RedoOverheadRecord measure_redo_overhead() {
   for (unsigned r = 0; r < kRedoRounds; ++r) {
     // Alternate which side of the pair runs first so cache/branch warmth
     // from the preceding round does not systematically favor one shape.
-    if (r % 2 == 0) plain_ns.push_back(redo_round_plain(rt));
+    if (r % 2 == 0) plain_ns.push_back(timed_round(rt, spawn_plain));
     const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
-    checked_ns.push_back(redo_round_checked(rt));
+    checked_ns.push_back(timed_round(rt, spawn_checked));
     checked_allocs += g_allocs.load(std::memory_order_relaxed) - a0;
-    if (r % 2 != 0) plain_ns.push_back(redo_round_plain(rt));
+    if (r % 2 != 0) plain_ns.push_back(timed_round(rt, spawn_plain));
   }
 
   RedoOverheadRecord rec;
@@ -402,13 +422,13 @@ int main(int, char**) {
               kChainDepth, chain.rounds, chain.wall_s, chain.handoffs,
               chain.spares_spawned, chain.allocs);
   std::printf(
-      ",\"redo_overhead\":{\"fault_injection_compiled\":%s,\"rounds\":%u,"
+      ",\"redo_overhead\":{\"rounds\":%u,"
       "\"tasks_per_round\":%" PRIu64
       ",\"plain_ns_per_task\":%.2f,\"checked_ns_per_task\":%.2f,"
       "\"ratio\":%.4f,\"checked_allocs\":%" PRIu64
       ",\"checked_allocs_per_task\":%.6f}}\n",
-      SIGRT_FAULT_INJECTION ? "true" : "false", redo.rounds,
-      redo.tasks_per_round, redo.plain_ns_per_task, redo.checked_ns_per_task,
-      redo.ratio, redo.checked_allocs, redo.checked_allocs_per_task);
+      redo.rounds, redo.tasks_per_round, redo.plain_ns_per_task,
+      redo.checked_ns_per_task, redo.ratio, redo.checked_allocs,
+      redo.checked_allocs_per_task);
   return 0;
 }

@@ -1,57 +1,9 @@
 #include "apps/common.hpp"
 
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <thread>
-
 #include "energy/meter.hpp"
 #include "support/timer.hpp"
 
 namespace sigrt::apps {
-
-namespace {
-
-/// Optional stall watchdog: SIGRT_WATCHDOG=<seconds> dumps the runtime
-/// state to stderr and aborts if a measured region makes no progress for
-/// that long.  Diagnostic aid for scheduler/dependence bugs.
-class StallWatchdog {
- public:
-  StallWatchdog(const Runtime& rt) {
-    const char* env = std::getenv("SIGRT_WATCHDOG");
-    if (env == nullptr) return;
-    const int limit = std::atoi(env);
-    if (limit <= 0) return;
-    thread_ = std::thread([this, &rt, limit] {
-      std::uint64_t last = 0;
-      int quiet = 0;
-      while (!done_.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::seconds(1));
-        const std::uint64_t now =
-            rt.stats().accurate + rt.stats().approximate + rt.stats().dropped;
-        quiet = now == last ? quiet + 1 : 0;
-        last = now;
-        if (quiet >= limit && !done_.load(std::memory_order_acquire)) {
-          std::fprintf(stderr, "sigrt watchdog: no progress for %ds\n", limit);
-          rt.dump_state(stderr);
-          std::abort();
-        }
-      }
-    });
-  }
-
-  ~StallWatchdog() {
-    done_.store(true, std::memory_order_release);
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  std::atomic<bool> done_{false};
-  std::thread thread_;
-};
-
-}  // namespace
 
 RuntimeConfig runtime_config_for(const CommonOptions& common) {
   RuntimeConfig rc;
@@ -70,7 +22,6 @@ RuntimeConfig runtime_config_for(const CommonOptions& common) {
 void run_measured(const CommonOptions& common, RunResult& result,
                   const std::function<void(Runtime&)>& work) {
   Runtime rt(runtime_config_for(common));
-  const StallWatchdog watchdog(rt);
   result.variant = to_string(common.variant);
   result.degree = to_string(common.degree);
 

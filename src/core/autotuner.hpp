@@ -8,17 +8,13 @@
 // it searches for the smallest accurate-task ratio that satisfies the bound
 // — the energy-minimal operating point of the quality/energy trade-off.
 //
-// Two strategies are provided:
-//   * offline():  bisection over repeated kernel invocations.  Quality is
-//     monotone non-increasing in the ratio for the paper's policies (an
-//     invariant the test suite checks), so bisection converges to the
-//     boundary within `tolerance` in O(log 1/tolerance) invocations.
-//   * Online tracker: a small additive-increase/multiplicative-decrease
-//     controller for iterative applications (Kmeans-style), nudging the
-//     ratio between invocations while quality stays within the bound.
+// offline() bisects over repeated kernel invocations.  Quality is monotone
+// non-increasing in the ratio for the paper's policies (an invariant the
+// test suite checks), so bisection converges to the boundary within
+// `tolerance` in O(log 1/tolerance) invocations.  The online, between-
+// requests counterpart is the serve tier's QosController.
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -104,53 +100,6 @@ class RatioTuner {
 
  private:
   Options options_;
-};
-
-/// Online AIMD controller for iterative kernels: call update() with the
-/// latest observed quality after each invocation and apply ratio() to the
-/// next one.  Backs off multiplicatively on a quality violation, then
-/// creeps back down (toward cheaper execution) additively while compliant.
-class OnlineRatioController {
- public:
-  struct Options {
-    double quality_bound = 0.05;
-    double initial_ratio = 1.0;
-    double decrease_step = 0.05;   ///< additive step toward cheaper runs
-    double backoff_factor = 1.6;   ///< multiplicative recovery on violation
-    double min_ratio = 0.0;
-    double max_ratio = 1.0;
-  };
-
-  explicit OnlineRatioController(Options options)
-      : options_(options), ratio_(options.initial_ratio) {}
-
-  [[nodiscard]] double ratio() const noexcept { return ratio_; }
-
-  [[nodiscard]] std::uint64_t violations() const noexcept { return violations_; }
-
-  /// Feeds the quality observed at the current ratio; returns the ratio to
-  /// use for the next invocation.
-  double update(double observed_quality) noexcept {
-    if (observed_quality > options_.quality_bound) {
-      ++violations_;
-      // Multiplicative recovery toward accuracy; never exceed max.
-      const double recovered = std::max(ratio_ * options_.backoff_factor,
-                                        ratio_ + options_.decrease_step);
-      ratio_ = std::min(options_.max_ratio, recovered);
-      // Freeze the floor: do not creep below a ratio that just failed.
-      floor_ = std::min(options_.max_ratio, floor_ + options_.decrease_step);
-    } else {
-      ratio_ = std::max({options_.min_ratio, floor_,
-                         ratio_ - options_.decrease_step});
-    }
-    return ratio_;
-  }
-
- private:
-  Options options_;
-  double ratio_;
-  double floor_ = 0.0;
-  std::uint64_t violations_ = 0;
 };
 
 }  // namespace sigrt

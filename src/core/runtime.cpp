@@ -239,10 +239,11 @@ void Runtime::spawn_impl(TaskOptions&& options, bool internal) {
   task->max_redos = static_cast<std::uint8_t>(
       std::min<unsigned>(options.max_redos, 255u));
   // §6 check/redo: an accurate task whose validator + redo budget make a
-  // corrupted result recoverable may execute on unreliable workers — the
-  // partition rule (Scheduler::eligible_for_unreliable) reads this flag.
-  task->unreliable_ok = config_.checked_tasks_on_unreliable &&
-                        task->check && task->max_redos > 0 &&
+  // corrupted result recoverable (a rejected result re-executes on a
+  // reliable worker) may execute on unreliable workers — the partition rule
+  // (Scheduler::eligible_for_unreliable) reads this flag.  Unchecked
+  // accurate tasks stay pinned to reliable workers.
+  task->unreliable_ok = task->check && task->max_redos > 0 &&
                         config_.unreliable_workers > 0;
   task->significance =
       static_cast<float>(std::clamp(options.significance, 0.0, 1.0));

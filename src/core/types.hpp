@@ -125,13 +125,6 @@ struct RuntimeConfig {
   /// Seed for the fault-injection stream.
   std::uint64_t seed = 0x5eed;
 
-  /// Allow accurate tasks that carry a check() validator and a redo budget
-  /// to execute on unreliable workers: the validator makes corruption
-  /// detectable, and a rejected result is re-executed on a reliable worker
-  /// (the paper's §6 check/redo contract).  Unchecked accurate tasks are
-  /// always pinned to reliable workers regardless of this flag.
-  bool checked_tasks_on_unreliable = true;
-
   [[nodiscard]] static unsigned default_workers() {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;

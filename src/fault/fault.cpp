@@ -1,7 +1,5 @@
 #include "fault/fault.hpp"
 
-#if SIGRT_FAULT_INJECTION
-
 #include <atomic>
 #include <memory>
 #include <vector>
@@ -112,5 +110,3 @@ ScopedCorrupt::ScopedCorrupt() noexcept { ++tls_corrupt_depth; }
 ScopedCorrupt::~ScopedCorrupt() { --tls_corrupt_depth; }
 
 }  // namespace sigrt::fault
-
-#endif  // SIGRT_FAULT_INJECTION

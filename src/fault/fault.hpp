@@ -11,10 +11,8 @@
 //
 // The injector is process-global and armed explicitly (tests arm, run,
 // disarm).  Hot paths guard every hook behind `fault::armed()` — one
-// relaxed atomic load when the framework is compiled in, a constant false
-// (the whole hook folds away) when it is compiled out with
-// -DSIGRT_FAULT_INJECTION=0 — so production builds keep the 0-alloc,
-// branch-cheap contract measured by the micro benches.
+// relaxed atomic load — so a disarmed build keeps the 0-alloc, branch-cheap
+// contract measured by the micro benches.
 //
 // Firing decisions are recorded into an order-independent trace (per-site
 // fire counts + a commutative XOR hash over the (site, stream, attempt)
@@ -24,10 +22,6 @@
 
 #include <cstdint>
 #include <stdexcept>
-
-#ifndef SIGRT_FAULT_INJECTION
-#define SIGRT_FAULT_INJECTION 1
-#endif
 
 namespace sigrt::fault {
 
@@ -80,8 +74,6 @@ struct Trace {
   }
 };
 
-#if SIGRT_FAULT_INJECTION
-
 /// True while a plan is armed.  One relaxed load — the hot-path guard.
 [[nodiscard]] bool armed() noexcept;
 
@@ -121,22 +113,5 @@ class ScopedCorrupt {
   ScopedCorrupt(const ScopedCorrupt&) = delete;
   ScopedCorrupt& operator=(const ScopedCorrupt&) = delete;
 };
-
-#else  // SIGRT_FAULT_INJECTION == 0: every hook folds to a constant.
-
-[[nodiscard]] constexpr bool armed() noexcept { return false; }
-inline void arm(const FaultPlan&) {}
-inline void disarm() noexcept {}
-[[nodiscard]] constexpr bool should_fire(Site, std::uint64_t,
-                                         unsigned = 0) noexcept {
-  return false;
-}
-[[nodiscard]] constexpr std::uint32_t param_us(Site) noexcept { return 0; }
-[[nodiscard]] inline Trace trace() noexcept { return {}; }
-inline void reset_trace() noexcept {}
-[[nodiscard]] constexpr bool corrupting() noexcept { return false; }
-class ScopedCorrupt {};
-
-#endif  // SIGRT_FAULT_INJECTION
 
 }  // namespace sigrt::fault

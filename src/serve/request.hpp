@@ -184,6 +184,8 @@ struct Request {
   std::int64_t deadline_ns = 0;  ///< absolute: arrival + budget (EDF key)
   std::int64_t issue_ns = 0;     ///< dispatch time (watchdog epoch base)
   bool degraded = false;
+  /// Staging queue or free pool link; while the request is issued, the
+  /// watchdog sweep's overdue chain.
   Request* next = nullptr;
 
   // --- ownership protocol -------------------------------------------------
@@ -269,15 +271,10 @@ class RequestPool {
   std::atomic<std::size_t> outstanding_{0};
 };
 
-/// Per-class counters and latency digest, safe to snapshot from any thread.
-struct ClassReport {
-  std::string name;
-  Criticality criticality = Criticality::Degradable;
-  double deadline_ms = 0.0;
-  double ratio = 1.0;        ///< current group ratio() knob
-  double perforation = 0.0;  ///< current dispatcher perforation level
-
-  std::uint64_t submitted = 0;
+/// The outcome counters every report carries.  The server keeps them once,
+/// per (tenant, class) cell; a ClassReport sums its class's cells.
+struct OutcomeCounts {
+  std::uint64_t submitted = 0;  ///< admitted (including degraded)
   std::uint64_t shed = 0;
   std::uint64_t degraded = 0;
   std::uint64_t perforated = 0;
@@ -290,15 +287,37 @@ struct ClassReport {
   std::uint64_t served_accurate = 0;
   std::uint64_t served_approximate = 0;
   std::uint64_t served_dropped = 0;  ///< degraded with no approximate body
+
+  [[nodiscard]] std::uint64_t served() const noexcept {
+    return served_accurate + served_approximate + served_dropped;
+  }
+
+  OutcomeCounts& operator+=(const OutcomeCounts& o) noexcept {
+    submitted += o.submitted;
+    shed += o.shed;
+    degraded += o.degraded;
+    perforated += o.perforated;
+    expired += o.expired;
+    timed_out += o.timed_out;
+    served_accurate += o.served_accurate;
+    served_approximate += o.served_approximate;
+    served_dropped += o.served_dropped;
+    return *this;
+  }
+};
+
+/// Per-class counters and latency digest, safe to snapshot from any thread.
+struct ClassReport : OutcomeCounts {
+  std::string name;
+  Criticality criticality = Criticality::Degradable;
+  double deadline_ms = 0.0;
+  double ratio = 1.0;        ///< current group ratio() knob
+  double perforation = 0.0;  ///< current dispatcher perforation level
   std::size_t in_flight = 0;
 
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double mean_ms = 0.0;
-
-  [[nodiscard]] std::uint64_t served() const noexcept {
-    return served_accurate + served_approximate + served_dropped;
-  }
 
   /// Fraction of served requests that got the full-quality body.
   [[nodiscard]] double achieved_ratio() const noexcept {
@@ -310,23 +329,10 @@ struct ClassReport {
 };
 
 /// One (tenant, class) accounting cell.
-struct TenantClassCell {
+struct TenantClassCell : OutcomeCounts {
   ClassId cls = 0;
   std::string class_name;
-  std::uint64_t submitted = 0;  ///< admitted (including degraded)
-  std::uint64_t shed = 0;
-  std::uint64_t degraded = 0;
-  std::uint64_t perforated = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t timed_out = 0;
-  std::uint64_t served_accurate = 0;
-  std::uint64_t served_approximate = 0;
-  std::uint64_t served_dropped = 0;
   std::size_t in_flight = 0;
-
-  [[nodiscard]] std::uint64_t served() const noexcept {
-    return served_accurate + served_approximate + served_dropped;
-  }
 };
 
 /// Per-tenant counters: the total plus one cell per registered class.

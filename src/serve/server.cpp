@@ -44,22 +44,48 @@ unsigned dispatcher_count(const ServerOptions& options) {
   return std::max(1u, requested);
 }
 
+/// Answers a request resolved without a body: fires job.*cb, falling back
+/// to on_drop when unset.  Exceptions are swallowed — answers run on server
+/// threads that must not unwind.
+void answer(Job& job, std::function<void()> Job::*cb) noexcept {
+  const auto& f = job.*cb ? job.*cb : job.on_drop;
+  if (!f) return;
+  try {
+    f();
+  } catch (...) {
+  }
+}
+
 }  // namespace
+
+OutcomeCounts Server::Cell::snapshot() const noexcept {
+  OutcomeCounts c;
+  c.submitted = submitted.load(std::memory_order_relaxed);
+  c.shed = shed.load(std::memory_order_relaxed);
+  c.degraded = degraded.load(std::memory_order_relaxed);
+  c.perforated = perforated.load(std::memory_order_relaxed);
+  c.expired = expired.load(std::memory_order_relaxed);
+  c.timed_out = timed_out.load(std::memory_order_relaxed);
+  c.served_accurate = served_accurate.load(std::memory_order_relaxed);
+  c.served_approximate = served_approximate.load(std::memory_order_relaxed);
+  c.served_dropped = served_dropped.load(std::memory_order_relaxed);
+  return c;
+}
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      runtime_(std::make_unique<Runtime>(serving_config(options_.runtime))) {
+      runtime_(std::make_unique<Runtime>(serving_config(options_.runtime))),
+      parked_(dispatcher_count(options_)) {
   for (auto& slot : classes_) slot.store(nullptr, std::memory_order_relaxed);
   for (auto& slot : tenants_) slot.store(nullptr, std::memory_order_relaxed);
   // Tenant 0 pre-exists with unbounded quotas, so tenant-oblivious callers
   // (and every pre-tenant test) see exactly the per-class semantics.
   register_tenant(TenantConfig{.name = "default"});
-  const unsigned dispatchers = dispatcher_count(options_);
   // Any failure past the first thread must stop and join what already
   // started — destroying a joinable std::thread terminates.
   try {
-    dispatchers_.reserve(dispatchers);
-    for (unsigned i = 0; i < dispatchers; ++i) {
+    dispatchers_.reserve(parked_.size());
+    for (unsigned i = 0; i < parked_.size(); ++i) {
       dispatchers_.emplace_back([this, i] { dispatcher_loop(i); });
     }
     if (options_.epoch_ms > 0.0) {
@@ -67,10 +93,8 @@ Server::Server(ServerOptions options)
     }
   } catch (...) {
     running_.store(false, std::memory_order_release);
-    {
-      support::MutexLock lock(wake_mutex_);
-      wake_cv_.notify_all();
-    }
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    parked_.notify_all();
     for (auto& d : dispatchers_) d.join();
     throw;
   }
@@ -84,10 +108,10 @@ ClassId Server::register_class(RequestClassConfig config) {
   if (id >= kMaxClasses) {
     throw std::length_error("serve::Server: too many request classes");
   }
-  const unsigned shards = options_.histogram_shards != 0
-                              ? options_.histogram_shards
-                              : runtime_->config().workers + 1;
-  auto state = std::make_unique<ClassState>(std::move(config), shards);
+  // One latency shard per recording thread: the workers, plus the
+  // dispatcher that records completions in inline mode.
+  auto state = std::make_unique<ClassState>(std::move(config),
+                                            runtime_->config().workers + 1);
   state->group = runtime_->create_group("serve/" + state->cfg.name,
                                         state->cfg.qos.initial_ratio);
   ClassState* ptr = state.get();
@@ -135,7 +159,6 @@ Admission Server::submit(ClassId cls, TenantId tenant, Job job) {
   TenantState& t = tenant_ref(tenant);
   Cell& cell = t.cells[cls];
   if (!accepting_.load(std::memory_order_acquire)) {
-    s.shed.fetch_add(1, std::memory_order_relaxed);
     cell.shed.fetch_add(1, std::memory_order_relaxed);
     return Admission::Shed;
   }
@@ -156,7 +179,6 @@ Admission Server::submit(ClassId cls, TenantId tenant, Job job) {
       t.in_flight.fetch_add(1, std::memory_order_acq_rel) + 1;
   if (t_depth > t.cfg.max_in_flight) {
     t.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    s.shed.fetch_add(1, std::memory_order_relaxed);
     cell.shed.fetch_add(1, std::memory_order_relaxed);
     return Admission::Shed;
   }
@@ -165,7 +187,6 @@ Admission Server::submit(ClassId cls, TenantId tenant, Job job) {
     switch (s.cfg.criticality) {
       case Criticality::BestEffort:
         t.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-        s.shed.fetch_add(1, std::memory_order_relaxed);
         cell.shed.fetch_add(1, std::memory_order_relaxed);
         return Admission::Shed;
       case Criticality::Degradable:
@@ -183,7 +204,6 @@ Admission Server::submit(ClassId cls, TenantId tenant, Job job) {
   if (depth > s.cfg.max_in_flight) {
     s.in_flight.fetch_sub(1, std::memory_order_acq_rel);
     t.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    s.shed.fetch_add(1, std::memory_order_relaxed);
     cell.shed.fetch_add(1, std::memory_order_relaxed);
     return Admission::Shed;
   }
@@ -212,32 +232,23 @@ Admission Server::submit(ClassId cls, TenantId tenant, Job job) {
   r->wd_prev = nullptr;
 
   cell.in_flight.fetch_add(1, std::memory_order_relaxed);
-  s.submitted.fetch_add(1, std::memory_order_relaxed);
   cell.submitted.fetch_add(1, std::memory_order_relaxed);
-  if (degraded) {
-    s.degraded.fetch_add(1, std::memory_order_relaxed);
-    cell.degraded.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (degraded) cell.degraded.fetch_add(1, std::memory_order_relaxed);
   queue_.push(r);
   wake_dispatcher();
   return degraded ? Admission::Degraded : Admission::Admitted;
 }
 
-void Server::wake_dispatcher() noexcept {
-  // Guarded wake (the eventcount idiom): under load no dispatcher is ever
-  // idle, so the common case is one acquire load, not a lock + notify on
-  // every submit.  While dispatchers ARE parked, the wake_pending_ token
-  // lets exactly one producer of a burst pay the lock+notify and the rest
-  // skip — without it every submit in the park window serializes on
-  // wake_mutex_.  None of this is a seq_cst Dekker handshake; a missed
-  // wake only costs the park's 1 ms timeout, never a hang.
-  if (idle_dispatchers_.load(std::memory_order_acquire) == 0) return;
-  if (wake_pending_.exchange(true, std::memory_order_seq_cst)) return;
-  {
-    support::MutexLock lock(wake_mutex_);
-    wake_cv_.notify_one();
+void Server::wake_dispatcher(const EdfQueue* backlog) noexcept {
+  // Pairs with the fence in prepare_wait: either the parking dispatcher's
+  // re-check sees what the caller published, or the state loads below see
+  // its slot WAITING.  Under load no slot waits, so this costs the fence
+  // and one load per dispatcher.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (backlog != nullptr && backlog->size() == 0) return;
+  for (unsigned i = 0; i < parked_.size(); ++i) {
+    if (parked_.waiting(i) && parked_.notify(i)) return;
   }
-  wake_pending_.store(false, std::memory_order_release);
 }
 
 std::size_t Server::drain_staging() {
@@ -275,10 +286,7 @@ std::size_t Server::issue_edf(double* rotor, bool bounded) {
       // Checked at pop (EDF order means everything deeper is no older), so
       // an idle server pays nothing for it.
       if (s.cfg.shed_expired && r->deadline_ns < support::now_ns()) {
-        TenantState& t = tenant_ref(r->tenant);
-        s.expired.fetch_add(1, std::memory_order_relaxed);
-        t.cells[r->cls].expired.fetch_add(1, std::memory_order_relaxed);
-        expire_admitted(r);
+        drop_admitted(r, &Cell::expired, &Job::on_expire);
         ++issued;
         continue;
       }
@@ -303,7 +311,6 @@ bool Server::has_issuable() const noexcept {
 }
 
 void Server::dispatcher_loop(unsigned index) {
-  using namespace std::chrono_literals;
   if (options_.thread_start_hook) options_.thread_start_hook("dispatcher", index);
   // Per-dispatcher perforation rotors: each dispatcher enforces the drop
   // fraction over its own issue stream, so N dispatchers never race on an
@@ -315,24 +322,17 @@ void Server::dispatcher_loop(unsigned index) {
     if (moved + issued != 0) continue;
 
     if (!running_.load(std::memory_order_acquire)) break;
-    // Two-phase park: announce idle, re-check, then wait with a timeout
-    // backstop (the count+notify pair handles the common case; the timeout
-    // makes a lost wakeup cost 1 ms, never a hang).  Completions re-open
-    // dispatch windows, so they wake us too (see complete()).
-    idle_dispatchers_.fetch_add(1, std::memory_order_seq_cst);
+    // Two-phase park (see eventcount.hpp): announce, re-check every wake
+    // condition, then commit.  Submits, window-reopening completions and
+    // shutdown each publish, fence and notify (see wake_dispatcher), so no
+    // wake is lost and the park needs no timeout.
+    parked_.prepare_wait(index);
     if (!queue_.empty() || has_issuable() ||
         !running_.load(std::memory_order_acquire)) {
-      idle_dispatchers_.fetch_sub(1, std::memory_order_relaxed);
+      parked_.cancel_wait(index);
       continue;
     }
-    {
-      support::MutexLock lock(wake_mutex_);
-      wake_cv_.wait_for(lock.native(), 1ms, [this] {
-        return !queue_.empty() || has_issuable() ||
-               !running_.load(std::memory_order_acquire);
-      });
-    }
-    idle_dispatchers_.fetch_sub(1, std::memory_order_relaxed);
+    parked_.commit_wait(index);
   }
 
   // Graceful drain: issue everything admitted before the stop — ignoring
@@ -354,40 +354,25 @@ void Server::dispatcher_loop(unsigned index) {
   }
 }
 
-void Server::drop_admitted(Request* r) {
+void Server::drop_admitted(Request* r,
+                           std::atomic<std::uint64_t> Cell::*outcome,
+                           std::function<void()> Job::*answer_cb) {
   ClassState& s = class_ref(r->cls);
   TenantState& t = tenant_ref(r->tenant);
-  Cell& cell = t.cells[r->cls];
-  if (r->job.on_drop) {
-    try {
-      r->job.on_drop();
-    } catch (...) {
-    }
-  }
-  cell.in_flight.fetch_sub(1, std::memory_order_relaxed);
-  t.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-  s.in_flight.fetch_sub(1, std::memory_order_acq_rel);
+  (t.cells[r->cls].*outcome).fetch_add(1, std::memory_order_relaxed);
+  answer(r->job, answer_cb);
+  release_in_flight(s, t, r->cls, /*issued=*/false);
   request_unref(r, 1);
 }
 
-void Server::expire_admitted(Request* r) {
-  ClassState& s = class_ref(r->cls);
-  TenantState& t = tenant_ref(r->tenant);
-  Cell& cell = t.cells[r->cls];
-  // Expiry is still a drop from the client's perspective, but the frontend
-  // may want to answer with a distinct status — on_expire when provided,
-  // the plain drop callback otherwise.
-  const auto& cb = r->job.on_expire ? r->job.on_expire : r->job.on_drop;
-  if (cb) {
-    try {
-      cb();
-    } catch (...) {
-    }
-  }
-  cell.in_flight.fetch_sub(1, std::memory_order_relaxed);
+void Server::release_in_flight(ClassState& s, TenantState& t, ClassId cls,
+                               bool issued) {
+  if (issued) s.in_runtime.fetch_sub(1, std::memory_order_relaxed);
+  t.cells[cls].in_flight.fetch_sub(1, std::memory_order_relaxed);
   t.in_flight.fetch_sub(1, std::memory_order_acq_rel);
   s.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-  request_unref(r, 1);
+  // The freed window slot may unblock this class's EDF backlog.
+  if (issued) wake_dispatcher(&s.edf);
 }
 
 void Server::request_unref(Request* r, int n) {
@@ -414,6 +399,11 @@ bool Server::watchdog_unlink(ClassState& s, Request* r) {
   if (r->wd_prev == nullptr && r->wd_next == nullptr && s.wd_head != r) {
     return false;
   }
+  watchdog_erase(s, r);
+  return true;
+}
+
+void Server::watchdog_erase(ClassState& s, Request* r) {
   if (r->wd_prev != nullptr) {
     r->wd_prev->wd_next = r->wd_next;
   } else {
@@ -422,7 +412,6 @@ bool Server::watchdog_unlink(ClassState& s, Request* r) {
   if (r->wd_next != nullptr) r->wd_next->wd_prev = r->wd_prev;
   r->wd_prev = nullptr;
   r->wd_next = nullptr;
-  return true;
 }
 
 void Server::watchdog_sweep() {
@@ -434,7 +423,10 @@ void Server::watchdog_sweep() {
 
     // Collect overdue entries under the lock, resolve them outside it: the
     // timeout callbacks are user code and must not run under a spinlock.
-    // The overdue chain reuses wd_next (each node is unlinked first).
+    // The overdue chain links through `next`, which an issued request does
+    // not use: a claimed node must keep both wd links null, the mark that
+    // tells a completing body (watchdog_unlink) the sweep owns the
+    // watchdog's reference.
     Request* overdue = nullptr;
     {
       support::SpinLockGuard lock(s.wd_lock);
@@ -442,14 +434,8 @@ void Server::watchdog_sweep() {
       while (cur != nullptr) {
         Request* next = cur->wd_next;
         if (now - cur->issue_ns > s.cfg.watchdog_ns) {
-          if (cur->wd_prev != nullptr) {
-            cur->wd_prev->wd_next = cur->wd_next;
-          } else {
-            s.wd_head = cur->wd_next;
-          }
-          if (cur->wd_next != nullptr) cur->wd_next->wd_prev = cur->wd_prev;
-          cur->wd_prev = nullptr;
-          cur->wd_next = overdue;
+          watchdog_erase(s, cur);
+          cur->next = overdue;
           overdue = cur;
         }
         cur = next;
@@ -458,33 +444,21 @@ void Server::watchdog_sweep() {
 
     while (overdue != nullptr) {
       Request* r = overdue;
-      overdue = r->wd_next;
-      r->wd_next = nullptr;
+      overdue = r->next;
+      r->next = nullptr;
       // Race with a completing body: whoever flips `resolved` does the
       // accounting.  Losing here means the body finished between the
       // collection above and now — nothing to do but drop our ref.
       if (!r->resolved.exchange(true, std::memory_order_acq_rel)) {
         TenantState& t = tenant_ref(r->tenant);
         Cell& cell = t.cells[r->cls];
-        s.timed_out.fetch_add(1, std::memory_order_relaxed);
         cell.timed_out.fetch_add(1, std::memory_order_relaxed);
         // A timeout is served as a drop (conservation: every admitted
         // request lands in exactly one served_* bucket); no latency sample
         // — the stuck body's eventual finish time is not a service time.
-        s.served_dropped.fetch_add(1, std::memory_order_relaxed);
         cell.served_dropped.fetch_add(1, std::memory_order_relaxed);
-        const auto& cb = r->job.on_timeout ? r->job.on_timeout : r->job.on_drop;
-        if (cb) {
-          try {
-            cb();
-          } catch (...) {
-          }
-        }
-        s.in_runtime.fetch_sub(1, std::memory_order_relaxed);
-        cell.in_flight.fetch_sub(1, std::memory_order_relaxed);
-        t.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-        s.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-        if (s.edf.size() > 0) wake_dispatcher();
+        answer(r->job, &Job::on_timeout);
+        release_in_flight(s, t, r->cls, /*issued=*/true);
       }
       request_unref(r, 1);
     }
@@ -502,10 +476,7 @@ void Server::dispatch(Request* r, double* rotor) {
   rotor[r->cls] += s.perforation.load(std::memory_order_relaxed);
   if (rotor[r->cls] >= 1.0) {
     rotor[r->cls] -= 1.0;
-    TenantState& t = tenant_ref(r->tenant);
-    s.perforated.fetch_add(1, std::memory_order_relaxed);
-    t.cells[r->cls].perforated.fetch_add(1, std::memory_order_relaxed);
-    drop_admitted(r);
+    drop_admitted(r, &Cell::perforated, &Job::on_drop);
     return;
   }
 
@@ -608,25 +579,16 @@ void Server::complete(Request* r, Outcome outcome) {
     s.latency.record(latency > 0 ? static_cast<std::uint64_t>(latency) : 0);
     switch (outcome) {
       case Outcome::Accurate:
-        s.served_accurate.fetch_add(1, std::memory_order_relaxed);
         cell.served_accurate.fetch_add(1, std::memory_order_relaxed);
         break;
       case Outcome::Approximate:
-        s.served_approximate.fetch_add(1, std::memory_order_relaxed);
         cell.served_approximate.fetch_add(1, std::memory_order_relaxed);
         break;
       case Outcome::Dropped:
-        s.served_dropped.fetch_add(1, std::memory_order_relaxed);
         cell.served_dropped.fetch_add(1, std::memory_order_relaxed);
         break;
     }
-    s.in_runtime.fetch_sub(1, std::memory_order_relaxed);
-    cell.in_flight.fetch_sub(1, std::memory_order_relaxed);
-    t.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    s.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    // The freed window slot may unblock this class's EDF backlog; the
-    // guarded wake is one relaxed load when no dispatcher is parked.
-    if (s.edf.size() > 0) wake_dispatcher();
+    release_in_flight(s, t, r->cls, /*issued=*/true);
   }
   // else: the watchdog sweep already resolved this request as timed-out
   // while the body was still running; the accounting is done.
@@ -721,12 +683,10 @@ void Server::drain() {
     controller_.join();
   }
 
+  // Shutdown wake: every parked dispatcher must observe the flag.
   running_.store(false, std::memory_order_release);
-  {
-    // Shutdown wake: every parked dispatcher must observe the flag.
-    support::MutexLock lock(wake_mutex_);
-    wake_cv_.notify_all();
-  }
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  parked_.notify_all();
   for (auto& d : dispatchers_) {
     if (d.joinable()) d.join();
   }
@@ -754,11 +714,7 @@ void Server::close() {
     while (Request* head = queue_.pop_all_fifo()) {
       while (head != nullptr) {
         Request* next = head->next;
-        ClassState& s = class_ref(head->cls);
-        TenantState& t = tenant_ref(head->tenant);
-        s.shed.fetch_add(1, std::memory_order_relaxed);
-        t.cells[head->cls].shed.fetch_add(1, std::memory_order_relaxed);
-        drop_admitted(head);
+        drop_admitted(head, &Cell::shed, &Job::on_drop);
         head = next;
       }
     }
@@ -786,16 +742,13 @@ ClassReport Server::class_report(ClassId cls) const {
   r.deadline_ms = s.cfg.qos.deadline_ns * 1e-6;
   r.ratio = runtime_->group(s.group).ratio();
   r.perforation = s.perforation.load(std::memory_order_relaxed);
-  r.submitted = s.submitted.load(std::memory_order_relaxed);
-  r.shed = s.shed.load(std::memory_order_relaxed);
-  r.degraded = s.degraded.load(std::memory_order_relaxed);
-  r.perforated = s.perforated.load(std::memory_order_relaxed);
-  r.served_accurate = s.served_accurate.load(std::memory_order_relaxed);
-  r.served_approximate = s.served_approximate.load(std::memory_order_relaxed);
-  r.served_dropped = s.served_dropped.load(std::memory_order_relaxed);
-  r.expired = s.expired.load(std::memory_order_relaxed);
-  r.timed_out = s.timed_out.load(std::memory_order_relaxed);
   r.in_flight = s.in_flight.load(std::memory_order_relaxed);
+  // The cells are the only books: a class's counts are its column summed
+  // over the registered tenants (at most kMaxTenants; a cold path).
+  const std::uint32_t tn = tenant_count_.load(std::memory_order_acquire);
+  for (std::uint32_t i = 0; i < tn; ++i) {
+    r += tenants_[i].load(std::memory_order_acquire)->cells[cls].snapshot();
+  }
 
   const support::Histogram h = s.latency.merged();
   r.p50_ms = h.quantile(0.5) * 1e-6;
@@ -817,18 +770,9 @@ TenantReport Server::tenant_report(TenantId tenant) const {
   for (std::uint32_t i = 0; i < n; ++i) {
     const Cell& c = t.cells[i];
     TenantClassCell cell;
+    static_cast<OutcomeCounts&>(cell) = c.snapshot();
     cell.cls = i;
     cell.class_name = classes_[i].load(std::memory_order_acquire)->cfg.name;
-    cell.submitted = c.submitted.load(std::memory_order_relaxed);
-    cell.shed = c.shed.load(std::memory_order_relaxed);
-    cell.degraded = c.degraded.load(std::memory_order_relaxed);
-    cell.perforated = c.perforated.load(std::memory_order_relaxed);
-    cell.served_accurate = c.served_accurate.load(std::memory_order_relaxed);
-    cell.served_approximate =
-        c.served_approximate.load(std::memory_order_relaxed);
-    cell.served_dropped = c.served_dropped.load(std::memory_order_relaxed);
-    cell.expired = c.expired.load(std::memory_order_relaxed);
-    cell.timed_out = c.timed_out.load(std::memory_order_relaxed);
     cell.in_flight = c.in_flight.load(std::memory_order_relaxed);
     out.cells.push_back(std::move(cell));
   }

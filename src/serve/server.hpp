@@ -46,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/eventcount.hpp"
 #include "core/runtime.hpp"
 #include "serve/admission.hpp"
 #include "serve/qos_controller.hpp"
@@ -63,12 +64,6 @@ struct ServerOptions {
   /// without bound under open-ended traffic) and runs reliable workers only
   /// (every admitted request must complete exactly one body).
   RuntimeConfig runtime;
-
-  /// Shards per class latency histogram (see support::ShardedHistogram).
-  /// 0 = auto: one per recording thread (the workers, plus the dispatcher
-  /// which records perforation-free completions in inline mode), so
-  /// recording threads rarely contend on a shard.
-  unsigned histogram_shards = 0;
 
   /// QoS controller sampling period.  0 disables the controller thread:
   /// ratios stay wherever register_class/set_ratio put them (used by the
@@ -172,8 +167,8 @@ class Server {
   static constexpr std::size_t kMaxTenants = 32;
 
  private:
-  /// One (tenant, class) accounting cell: every counter a TenantClassCell
-  /// reports, maintained at admission/completion time.
+  /// One (tenant, class) accounting cell: the only copy of each outcome
+  /// count (one relaxed RMW per outcome; class reports sum the cells).
   struct Cell {
     std::atomic<std::size_t> in_flight{0};
     std::atomic<std::uint64_t> submitted{0};
@@ -185,6 +180,8 @@ class Server {
     std::atomic<std::uint64_t> served_dropped{0};
     std::atomic<std::uint64_t> expired{0};
     std::atomic<std::uint64_t> timed_out{0};
+
+    [[nodiscard]] OutcomeCounts snapshot() const noexcept;
   };
 
   struct TenantState {
@@ -213,17 +210,8 @@ class Server {
     /// issued-but-uncompleted requests the dispatch window throttles.
     EdfQueue edf;
     std::atomic<std::size_t> in_runtime{0};
-
+    /// Admission bound: admitted-but-unresolved requests of this class.
     std::atomic<std::size_t> in_flight{0};
-    std::atomic<std::uint64_t> submitted{0};
-    std::atomic<std::uint64_t> shed{0};
-    std::atomic<std::uint64_t> degraded{0};
-    std::atomic<std::uint64_t> perforated{0};
-    std::atomic<std::uint64_t> served_accurate{0};
-    std::atomic<std::uint64_t> served_approximate{0};
-    std::atomic<std::uint64_t> served_dropped{0};
-    std::atomic<std::uint64_t> expired{0};
-    std::atomic<std::uint64_t> timed_out{0};
 
     /// Watchdog registry: intrusive doubly-linked list of issued requests
     /// (linked at dispatch, unlinked at complete) the controller sweeps for
@@ -250,24 +238,34 @@ class Server {
   /// on it; each enforces the drop fraction over its own batch stream.
   void dispatch(Request* r, double* rotor);
   void complete(Request* r, Outcome outcome);
-  /// Drops an admitted request without running a body (perforation or
-  /// shutdown): fires on_drop, bumps `shed`/`perforated` style counters via
-  /// the caller, releases the in-flight reservations and recycles the node.
-  void drop_admitted(Request* r);
-  /// Deadline-expired at EDF pop: like drop_admitted but fires on_expire
-  /// (falling back to on_drop) — the caller has already bumped `expired`.
-  void expire_admitted(Request* r);
+  /// Resolves an admitted, never-issued request without running a body
+  /// (perforation, EDF expiry, or a shutdown shed): counts it under
+  /// `outcome`, answers through `answer_cb` (falling back to on_drop),
+  /// releases its in-flight reservations and drops the admission ref.
+  void drop_admitted(Request* r, std::atomic<std::uint64_t> Cell::*outcome,
+                     std::function<void()> Job::*answer_cb);
+  /// Returns a resolved request's reservations: its dispatch-window slot
+  /// when `issued`, then the cell, tenant and class in-flight counts.  A
+  /// reopened window wakes a parked dispatcher if the class has a backlog.
+  void release_in_flight(ClassState& s, TenantState& t, ClassId cls,
+                         bool issued);
   void watchdog_link(ClassState& s, Request* r);
   /// Returns true when r was still linked (i.e. the sweep hadn't claimed
   /// it), so the caller knows how many ownership refs to drop.
   bool watchdog_unlink(ClassState& s, Request* r);
+  /// Unlinks r from the registry, leaving both of its links null.
+  static void watchdog_erase(ClassState& s, Request* r)
+      SIGRT_REQUIRES(s.wd_lock);
   /// Controller-tick pass: resolves every issued request overdue past its
   /// class watchdog as a drop (on_timeout, falling back to on_drop) and
   /// releases its in-flight reservations.  The stuck body may still be
   /// running; the owners protocol keeps the Request alive until it exits.
   void watchdog_sweep();
   void request_unref(Request* r, int n);
-  void wake_dispatcher() noexcept;
+  /// Producer half of the EventCount protocol (eventcount.hpp): the caller
+  /// has published its change; fence, then — unless `backlog` is given and
+  /// empty — signal one parked dispatcher.
+  void wake_dispatcher(const EdfQueue* backlog = nullptr) noexcept;
   [[nodiscard]] bool has_issuable() const noexcept;
 
   void controller_loop();
@@ -291,14 +289,8 @@ class Server {
   std::atomic<bool> accepting_{true};
   std::atomic<bool> running_{true};
 
-  /// Count of dispatchers currently announcing idle (two-phase park); a
-  /// producer only pays the notify when this is nonzero.
-  std::atomic<unsigned> idle_dispatchers_{0};
-  /// Single-flight token for the producer-side wake: one producer per
-  /// burst takes the lock+notify, the rest skip (see wake_dispatcher).
-  std::atomic<bool> wake_pending_{false};
-  support::Mutex wake_mutex_;
-  std::condition_variable wake_cv_;
+  /// One slot per dispatcher thread; idle dispatchers park here.
+  EventCount parked_;
 
   support::Mutex controller_mutex_;
   std::condition_variable controller_cv_;

@@ -1,4 +1,4 @@
-// RatioTuner / OnlineRatioController tests, including an end-to-end search
+// RatioTuner tests, including an end-to-end search
 // over the real Sobel kernel.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 
 namespace {
 
-using sigrt::OnlineRatioController;
 using sigrt::RatioTuner;
 
 RatioTuner::Options tuner_options(double bound, double tol = 0.02) {
@@ -94,63 +93,6 @@ TEST(RatioTuner, EndToEndOnSobel) {
   EXPECT_LE(sigrt::apps::sobel::run(check).quality, 1.0 / 35.0 + 1e-9);
   // ...and be meaningfully cheaper than fully accurate.
   EXPECT_LT(result.ratio, 1.0);
-}
-
-TEST(OnlineController, StaysAtFloorWhileCompliant) {
-  OnlineRatioController::Options o;
-  o.quality_bound = 0.1;
-  o.initial_ratio = 1.0;
-  o.decrease_step = 0.1;
-  OnlineRatioController c(o);
-  // Quality always fine: the controller walks the ratio down to min.
-  for (int i = 0; i < 20; ++i) c.update(0.01);
-  EXPECT_DOUBLE_EQ(c.ratio(), 0.0);
-  EXPECT_EQ(c.violations(), 0u);
-}
-
-TEST(OnlineController, BacksOffOnViolation) {
-  OnlineRatioController::Options o;
-  o.quality_bound = 0.1;
-  o.initial_ratio = 0.5;
-  o.decrease_step = 0.05;
-  OnlineRatioController c(o);
-  const double before = c.ratio();
-  c.update(0.5);  // violation
-  EXPECT_GT(c.ratio(), before);
-  EXPECT_EQ(c.violations(), 1u);
-}
-
-TEST(OnlineController, FloorPreventsRepeatedViolationCycles) {
-  OnlineRatioController::Options o;
-  o.quality_bound = 0.1;
-  o.initial_ratio = 1.0;
-  o.decrease_step = 0.1;
-  OnlineRatioController c(o);
-  // A system that violates whenever ratio < 0.5.
-  auto system_quality = [](double ratio) { return ratio < 0.5 ? 0.2 : 0.05; };
-  double ratio = c.ratio();
-  int violations_late = 0;
-  for (int i = 0; i < 60; ++i) {
-    const double q = system_quality(ratio);
-    ratio = c.update(q);
-    if (i > 40 && q > 0.1) ++violations_late;
-  }
-  // The floor ratchets up after each violation, so late iterations settle.
-  EXPECT_LE(violations_late, 2);
-  EXPECT_GE(ratio, 0.4);
-}
-
-TEST(OnlineController, ClampsToConfiguredRange) {
-  OnlineRatioController::Options o;
-  o.quality_bound = 0.1;
-  o.initial_ratio = 0.9;
-  o.min_ratio = 0.3;
-  o.max_ratio = 0.95;
-  OnlineRatioController c(o);
-  for (int i = 0; i < 30; ++i) c.update(0.0);
-  EXPECT_GE(c.ratio(), 0.3);
-  c.update(1.0);
-  EXPECT_LE(c.ratio(), 0.95);
 }
 
 }  // namespace

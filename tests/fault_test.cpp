@@ -30,17 +30,6 @@
 #include "fault/fault.hpp"
 #include "serve/server.hpp"
 
-// Tests that need faults to actually FIRE are skipped when the hooks are
-// compiled out (-DSIGRT_FAULT_INJECTION=0); the resilience tests that
-// drive their faults through the API (always-false validators, stuck
-// bodies, past deadlines) run in every configuration.
-#if SIGRT_FAULT_INJECTION
-#define SKIP_WITHOUT_INJECTION() (void)0
-#else
-#define SKIP_WITHOUT_INJECTION() \
-  GTEST_SKIP() << "fault injection compiled out"
-#endif
-
 namespace {
 
 using sigrt::PolicyKind;
@@ -101,7 +90,6 @@ sigrt::fault::Trace run_checked_workload(std::uint64_t seed) {
 }
 
 TEST(FaultDeterminism, SameSeedSameTraceDifferentSeedDifferentTrace) {
-  SKIP_WITHOUT_INJECTION();
   const sigrt::fault::Trace a = run_checked_workload(0xC0FFEE);
   const sigrt::fault::Trace b = run_checked_workload(0xC0FFEE);
   const sigrt::fault::Trace c = run_checked_workload(0xBADF00D);
@@ -115,7 +103,6 @@ TEST(FaultDeterminism, SameSeedSameTraceDifferentSeedDifferentTrace) {
 }
 
 TEST(FaultDeterminism, DisarmedSitesNeverFire) {
-  SKIP_WITHOUT_INJECTION();
   sigrt::fault::FaultPlan plan;  // all probabilities zero
   ArmedPlan armed(plan);
   Runtime rt(config(2));
@@ -130,7 +117,6 @@ TEST(FaultDeterminism, DisarmedSitesNeverFire) {
 // --- the redo oracle ------------------------------------------------------
 
 TEST(FaultRedo, CrashedAccurateTasksRedoToBitExactResults) {
-  SKIP_WITHOUT_INJECTION();
   sigrt::fault::FaultPlan plan;
   plan.seed = chaos_seed(0x5EED);
   plan.with(sigrt::fault::Site::TaskCrash, 0.05);
@@ -159,7 +145,6 @@ TEST(FaultRedo, CrashedAccurateTasksRedoToBitExactResults) {
 }
 
 TEST(FaultRedo, CorruptionOnUnreliableWorkersIsCaughtAndRedone) {
-  SKIP_WITHOUT_INJECTION();
   sigrt::fault::FaultPlan plan;
   plan.seed = chaos_seed(0xBEEF);
   plan.with(sigrt::fault::Site::TaskCorrupt, 0.5);
@@ -213,7 +198,6 @@ TEST(FaultRedo, CorruptionOnUnreliableWorkersIsCaughtAndRedone) {
 }
 
 TEST(FaultRedo, ApproximateInjectedCrashesAccountAsDrops) {
-  SKIP_WITHOUT_INJECTION();
   sigrt::fault::FaultPlan plan;
   plan.seed = chaos_seed(0xAB5E);
   plan.with(sigrt::fault::Site::TaskCrash, 1.0);
@@ -255,7 +239,6 @@ TEST(FaultRedo, ExhaustedRedoBudgetSurfacesAtTheBarrier) {
 }
 
 TEST(FaultRedo, RedoWorksInInlineMode) {
-  SKIP_WITHOUT_INJECTION();
   sigrt::fault::FaultPlan plan;
   plan.seed = chaos_seed(0x117);
   plan.with(sigrt::fault::Site::TaskCrash, 0.2);
@@ -277,7 +260,6 @@ TEST(FaultRedo, RedoWorksInInlineMode) {
 // --- serve tier under injection ------------------------------------------
 
 TEST(FaultServe, WatchdogConvertsInjectedCrashesToDropsAndDrainCompletes) {
-  SKIP_WITHOUT_INJECTION();
   sigrt::fault::FaultPlan plan;
   plan.seed = chaos_seed(0xD06);
   plan.with(sigrt::fault::Site::TaskCrash, 0.05);
@@ -328,7 +310,6 @@ TEST(FaultServe, WatchdogConvertsInjectedCrashesToDropsAndDrainCompletes) {
 }
 
 TEST(FaultServe, FloodingTenantFaultsNeverDentAnotherTenantsCriticalClass) {
-  SKIP_WITHOUT_INJECTION();
   // The multi-tenant isolation acceptance re-run with task faults flying:
   // a flooding tenant overloads its Degradable class while injected
   // crashes randomly kill request bodies.  Crashed bodies resolve through

@@ -606,9 +606,6 @@ TEST(NetBackpressure, IdleConnectionsAreReapedActiveOnesSurvive) {
 }
 
 TEST(NetChaos, RstStormDrivesReconnectsAndConservationStaysExact) {
-#if !SIGRT_FAULT_INJECTION
-  GTEST_SKIP() << "fault injection compiled out";
-#else
   // Injected TCP resets (real RST via SO_LINGER{1,0}) plus 1-byte short
   // writes on the server's send path.  The client auto-reconnects through
   // the storm; the serve tier must resolve every request it admitted —
@@ -706,7 +703,6 @@ TEST(NetChaos, RstStormDrivesReconnectsAndConservationStaysExact) {
   EXPECT_EQ(r.in_flight, 0u);
   const NetServer::Counters nc = lb.net->counters();
   EXPECT_LE(nc.responses, nc.requests);
-#endif
 }
 
 TEST(NetLoopback, StartRefusesAnInlineRuntime) {

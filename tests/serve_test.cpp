@@ -663,6 +663,126 @@ TEST(ServerStress, TenantAccountingConservedUnderConcurrency) {
   EXPECT_EQ(cell_shed, class_shed);
 }
 
+// The tenant x class cells are the server's only books: a class report is
+// its column of cells summed over the tenants.  Four submitters drive every
+// outcome the cells count (admit, degrade, shed, EDF expiry, watchdog
+// timeout, and whatever the controller perforates) through two classes,
+// two tenants and two dispatchers; after close() each of the nine counters
+// must reconcile field by field, and conservation must hold exactly.
+TEST(ServerStress, ClassReportIsTheSumOfItsTenantCells) {
+  ServerOptions so;
+  so.runtime.workers = 2;
+  so.dispatcher_threads = 2;
+  so.epoch_ms = 2.0;  // controller on: it runs the watchdog sweep
+  Server srv(so);
+
+  RequestClassConfig cfg;
+  cfg.max_in_flight = 4096;
+  cfg.shed_expired = true;
+  cfg.watchdog_ns = 4'000'000;
+  cfg.name = "degradable";
+  cfg.criticality = Criticality::Degradable;
+  const ClassId c0 = srv.register_class(cfg);
+  cfg.name = "besteffort";
+  cfg.criticality = Criticality::BestEffort;
+  const ClassId c1 = srv.register_class(cfg);
+  const TenantId t1 = srv.register_tenant(
+      {.name = "t1", .max_in_flight = 64, .fair_in_flight = 16});
+  const TenantId t2 = srv.register_tenant(
+      {.name = "t2", .max_in_flight = 64, .fair_in_flight = 16});
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 400;
+  std::atomic<std::uint64_t> attempts{0};
+  std::vector<std::thread> producers;
+  producers.reserve(kThreads);
+  for (int th = 0; th < kThreads; ++th) {
+    producers.emplace_back([&, th] {
+      support::SplitMix64 rng(0xC311Bu * (th + 1));
+      for (int i = 0; i < kPerThread; ++i) {
+        const TenantId t = (rng.next() & 1) != 0 ? t1 : t2;
+        const ClassId c = (rng.next() & 1) != 0 ? c1 : c0;
+        Job job;
+        job.accurate = [] { spin_for(20'000); };
+        job.approximate = [] { spin_for(2'000); };
+        if (i % 10 == 3) job.deadline_ns = 1;  // hopeless: expires at pop
+        if (i % 150 == 7) {                    // stuck: the watchdog drops it
+          job.accurate = job.approximate = [] { spin_for(8'000'000); };
+        }
+        attempts.fetch_add(1, std::memory_order_relaxed);
+        (void)srv.submit(c, t, std::move(job));
+        spin_for(30'000);  // paced: most requests are admitted
+      }
+    });
+  }
+  for (auto& p : producers) p.join();
+  srv.close();
+
+  std::uint64_t accounted = 0, expired = 0;
+  for (const ClassId c : {c0, c1}) {
+    const ClassReport r = srv.class_report(c);
+    OutcomeCounts sum;
+    for (const TenantId t : {kDefaultTenant, t1, t2}) {
+      sum += srv.tenant_report(t).cells[c];
+    }
+    EXPECT_EQ(r.submitted, sum.submitted) << r.name;
+    EXPECT_EQ(r.shed, sum.shed) << r.name;
+    EXPECT_EQ(r.degraded, sum.degraded) << r.name;
+    EXPECT_EQ(r.perforated, sum.perforated) << r.name;
+    EXPECT_EQ(r.expired, sum.expired) << r.name;
+    EXPECT_EQ(r.timed_out, sum.timed_out) << r.name;
+    EXPECT_EQ(r.served_accurate, sum.served_accurate) << r.name;
+    EXPECT_EQ(r.served_approximate, sum.served_approximate) << r.name;
+    EXPECT_EQ(r.served_dropped, sum.served_dropped) << r.name;
+    // Conservation: every admitted request resolved into exactly one bucket.
+    EXPECT_EQ(r.submitted, r.served() + r.perforated + r.expired) << r.name;
+    EXPECT_EQ(r.in_flight, 0u) << r.name;
+    accounted += r.submitted + r.shed;
+    expired += r.expired;
+  }
+  EXPECT_EQ(accounted, attempts.load());
+  EXPECT_GT(expired, 0u) << "no hopeless request was admitted: vacuous run";
+  for (const TenantId t : {t1, t2}) EXPECT_EQ(srv.tenant_report(t).in_flight, 0u);
+}
+
+// Sparse arrivals: every request lands while both dispatchers are parked,
+// so each one is served only if submit's wake reaches a parked dispatcher.
+// The park has no timeout, so a lost wake would strand the request; the
+// bounded wait turns that into a failure instead of a hang.
+TEST(ServerStress, SparseArrivalsWakeParkedDispatchers) {
+  ServerOptions so;
+  so.runtime.workers = 2;
+  so.dispatcher_threads = 2;
+  so.epoch_ms = 0.0;
+  Server srv(so);
+
+  RequestClassConfig cfg;
+  cfg.name = "sparse";
+  const ClassId cls = srv.register_class(cfg);
+
+  constexpr int kRequests = 50;
+  std::atomic<int> ran{0};
+  for (int i = 0; i < kRequests; ++i) {
+    // Idle dispatchers park within microseconds; 5 ms leaves both parked.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    Job job;
+    job.accurate = [&ran] { ran.fetch_add(1); };
+    job.significance = 1.0;
+    ASSERT_EQ(srv.submit(cls, std::move(job)), Admission::Admitted);
+    const std::int64_t give_up = support::now_ns() + 5'000'000'000;
+    while (ran.load() != i + 1 && support::now_ns() < give_up) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    ASSERT_EQ(ran.load(), i + 1) << "request " << i << " was never served";
+  }
+  srv.close();
+
+  const ClassReport r = srv.class_report(cls);
+  EXPECT_EQ(r.submitted, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(r.served_accurate, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(r.in_flight, 0u);
+}
+
 // --- EDF dispatch --------------------------------------------------------
 
 TEST(Edf, IssuesByDeadlineNotArrivalOrder) {
