@@ -28,65 +28,21 @@
 //     thousands of readers parked.
 //
 // Each shape runs at 1/4/8 workers, clamped to the host's CPUs.  Like
-// micro_spawn, the driver counts heap allocations through an instrumented
-// global operator new and warms up until a full round allocates nothing,
-// so the steady-state allocs-per-task column gates the tracker's
+// micro_spawn, the driver counts heap allocations through the harness's
+// counting operator new and warms up until a full round allocates nothing,
+// so the steady-state allocs-per-task column reports the tracker's
 // reset-not-free contract.  Output is one JSON line
 // (BENCH_micro_deps.json in CI); any CLI arguments are accepted and
 // ignored for harness compatibility.
-#include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <thread>
 #include <vector>
 
 #include "core/sigrt.hpp"
+#include "harness.hpp"
 #include "support/timer.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_alloc_aligned(std::size_t size, std::size_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t rounded = (size + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, rounded != 0 ? rounded : align)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_alloc_aligned(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_alloc_aligned(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -229,7 +185,7 @@ std::uint64_t long_read_round(sigrt::Runtime& rt, std::vector<Cell>& cells) {
 
 template <typename Round>
 DepRecord measure(const char* shape, unsigned workers, std::size_t cell_count,
-                  Round round, int max_warmup) {
+                  Round round) {
   sigrt::RuntimeConfig c;
   c.workers = workers;
   c.policy = sigrt::PolicyKind::Agnostic;
@@ -238,20 +194,16 @@ DepRecord measure(const char* shape, unsigned workers, std::size_t cell_count,
   std::vector<Cell> cells(cell_count);
 
   // Warm-up: populate the task pool, the tracker's stripe tables and every
-  // reader/dependents buffer to the workload's high-water mark, repeating
-  // until a full round allocates nothing (true steady state).
-  for (int r = 0; r < max_warmup; ++r) {
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-    (void)round(rt, cells);
-    if (r > 0 && g_allocs.load(std::memory_order_relaxed) == before) break;
-  }
+  // reader/dependents buffer to the workload's high-water mark.
+  harness::warm_until_steady([&] { (void)round(rt, cells); },
+                             /*max_rounds=*/6);
 
   const std::uint64_t e0 = rt.stats().dep_edges;
-  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a0 = harness::allocs();
   const std::int64_t t0 = sigrt::support::now_ns();
   const std::uint64_t tasks = round(rt, cells);
   const std::int64_t t1 = sigrt::support::now_ns();
-  const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a1 = harness::allocs();
 
   DepRecord r;
   r.shape = shape;
@@ -270,26 +222,15 @@ DepRecord measure(const char* shape, unsigned workers, std::size_t cell_count,
 }  // namespace
 
 int main(int, char**) {
-  constexpr unsigned kWorkerSweep[] = {1, 4, 8};
-  // More workers than CPUs only measures the oversubscription; the sweep
-  // is clamped to the host and a count already measured is skipped.
-  const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
   std::vector<DepRecord> records;
-  unsigned last = 0;
-  for (unsigned sweep : kWorkerSweep) {
-    const unsigned w = std::min(sweep, cpus);
-    if (w == last) continue;
-    last = w;
-    records.push_back(measure("chain", w, kChains, chain_round,
-                              /*max_warmup=*/6));
-    records.push_back(measure("stencil", w, kGrid * kGrid, stencil_round,
-                              /*max_warmup=*/6));
+  for (const unsigned w : harness::worker_sweep({1, 4, 8})) {
+    records.push_back(measure("chain", w, kChains, chain_round));
+    records.push_back(measure("stencil", w, kGrid * kGrid, stencil_round));
     records.push_back(measure("wide_read", w, kWideIn + kWideBands * kWideBand,
-                              wide_read_round, /*max_warmup=*/6));
-    records.push_back(measure("unaligned_rows", w, kRowCells,
-                              unaligned_rows_round, /*max_warmup=*/6));
-    records.push_back(measure("long_read", w, kLongCells, long_read_round,
-                              /*max_warmup=*/6));
+                              wide_read_round));
+    records.push_back(
+        measure("unaligned_rows", w, kRowCells, unaligned_rows_round));
+    records.push_back(measure("long_read", w, kLongCells, long_read_round));
   }
 
   std::printf("{\"bench\":\"micro_deps\",\"block_bytes\":%zu,\"cells\":[",

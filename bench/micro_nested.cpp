@@ -12,7 +12,7 @@
 // Cells: {agnostic, LQH ratio 0.5} x {1, 2, 8} workers, clamped to the
 // host's CPUs (a count already measured is skipped; the JSON records the
 // counts used and the CPU count).  Like micro_spawn/micro_deps, the
-// driver counts heap allocations through an instrumented global operator
+// driver counts heap allocations through the harness's counting operator
 // new and warms up until a full round allocates nothing, so the
 // steady-state allocs-per-task column extends the zero-allocation
 // contract to the nested spawn + helping-barrier path.  Output is one JSON line
@@ -20,60 +20,16 @@
 // for harness compatibility.
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/sigrt.hpp"
+#include "harness.hpp"
 #include "support/timer.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_alloc_aligned(std::size_t size, std::size_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t rounded = (size + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, rounded != 0 ? rounded : align)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_alloc_aligned(size, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_alloc_aligned(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -140,31 +96,27 @@ struct NestedRecord {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> steal_locality;
 };
 
-NestedRecord measure(sigrt::PolicyKind policy, double ratio, unsigned workers,
-                     int max_warmup) {
+NestedRecord measure(sigrt::PolicyKind policy, double ratio,
+                     unsigned workers) {
   sigrt::RuntimeConfig c;
   c.workers = workers;
   c.policy = policy;
-  c.default_ratio = ratio;
   c.record_task_log = false;
   sigrt::Runtime rt(c);
+  rt.set_ratio(sigrt::kDefaultGroup, ratio);
 
   // Warm-up: grow the task pool, the LQH histories and every helping
-  // scratch frame to the workload's high-water mark, repeating until a
-  // full round allocates nothing.
-  for (int r = 0; r < max_warmup; ++r) {
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-    (void)nested_round(rt);
-    if (r > 0 && g_allocs.load(std::memory_order_relaxed) == before) break;
-  }
+  // scratch frame to the workload's high-water mark.
+  harness::warm_until_steady([&] { (void)nested_round(rt); },
+                             /*max_rounds=*/6);
 
   const auto r0 = rt.group_report(sigrt::kDefaultGroup);
   const auto steals0 = rt.steal_locality();
-  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a0 = harness::allocs();
   const std::int64_t t0 = sigrt::support::now_ns();
   const std::uint64_t tasks = nested_round(rt);
   const std::int64_t t1 = sigrt::support::now_ns();
-  const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a1 = harness::allocs();
   const auto r1 = rt.group_report(sigrt::kDefaultGroup);
   const auto steals1 = rt.steal_locality();
 
@@ -233,11 +185,11 @@ DeepChainRecord measure_deep_chain(unsigned rounds) {
   DeepChainRecord rec;
   rec.rounds = rounds;
   const auto p0 = rt.pool_stats();
-  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a0 = harness::allocs();
   const std::int64_t t0 = sigrt::support::now_ns();
   for (unsigned r = 0; r < rounds; ++r) round();
   const std::int64_t t1 = sigrt::support::now_ns();
-  const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t a1 = harness::allocs();
   const auto p1 = rt.pool_stats();
   rec.wall_s = static_cast<double>(t1 - t0) * 1e-9;
   rec.handoffs = p1.handoffs - p0.handoffs;
@@ -348,9 +300,9 @@ RedoOverheadRecord measure_redo_overhead() {
     // Alternate which side of the pair runs first so cache/branch warmth
     // from the preceding round does not systematically favor one shape.
     if (r % 2 == 0) plain_ns.push_back(timed_round(rt, spawn_plain));
-    const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t a0 = harness::allocs();
     checked_ns.push_back(timed_round(rt, spawn_checked));
-    checked_allocs += g_allocs.load(std::memory_order_relaxed) - a0;
+    checked_allocs += harness::allocs() - a0;
     if (r % 2 != 0) plain_ns.push_back(timed_round(rt, spawn_plain));
   }
 
@@ -380,25 +332,17 @@ RedoOverheadRecord measure_redo_overhead() {
 }  // namespace
 
 int main(int, char**) {
-  constexpr unsigned kWorkerSweep[] = {1, 2, 8};
-  // More workers than CPUs only measures the oversubscription.
-  const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
   std::vector<NestedRecord> records;
-  unsigned last = 0;
-  for (unsigned sweep : kWorkerSweep) {
-    const unsigned w = std::min(sweep, cpus);
-    if (w == last) continue;
-    last = w;
-    records.push_back(
-        measure(sigrt::PolicyKind::Agnostic, 1.0, w, /*max_warmup=*/6));
-    records.push_back(measure(sigrt::PolicyKind::LQH, 0.5, w, /*max_warmup=*/6));
+  for (const unsigned w : harness::worker_sweep({1, 2, 8})) {
+    records.push_back(measure(sigrt::PolicyKind::Agnostic, 1.0, w));
+    records.push_back(measure(sigrt::PolicyKind::LQH, 0.5, w));
   }
   const DeepChainRecord chain = measure_deep_chain(/*rounds=*/32);
   const RedoOverheadRecord redo = measure_redo_overhead();
 
   std::printf("{\"bench\":\"micro_nested\",\"cpus\":%u,\"fib_n\":%d,"
               "\"cutoff\":%d,\"depth\":%d,\"sig_decay\":%.2f,\"cells\":[",
-              cpus, kFibN, kCutoff, kFibN - kCutoff, kSigDecay);
+              harness::cpus(), kFibN, kCutoff, kFibN - kCutoff, kSigDecay);
   for (std::size_t i = 0; i < records.size(); ++i) {
     const NestedRecord& r = records[i];
     std::printf(

@@ -39,7 +39,6 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <new>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -48,6 +47,7 @@
 #include "apps/dct.hpp"
 #include "apps/kmeans.hpp"
 #include "apps/sobel.hpp"
+#include "harness.hpp"
 #include "net/net.hpp"
 #include "serve/serve.hpp"
 #include "support/image.hpp"
@@ -57,36 +57,11 @@
 
 extern char** environ;
 
-// --- Allocation probe ----------------------------------------------------
-//
-// Counts operator-new calls made by "hot" threads (those on the per-request
-// path: pollers, dispatchers, and workers while running a kernel handler)
-// while the probe is armed.  The peak tier arms it after warmup; a nonzero
-// steady-state count divided by requests served in the window is the
-// allocs-per-request figure the acceptance gate watches.
-
-namespace alloc_probe {
-std::atomic<bool> armed{false};
-std::atomic<std::uint64_t> hot_allocs{0};
-thread_local bool hot_thread = false;
-
-inline void count() noexcept {
-  if (armed.load(std::memory_order_relaxed) && hot_thread) {
-    hot_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-}  // namespace alloc_probe
-
-void* operator new(std::size_t n) {
-  alloc_probe::count();
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Hot threads are those on the per-request path: pollers, dispatchers, and
+// workers once they have run a kernel handler.  Each marks itself with
+// harness::mark_hot_thread(); the peak tier divides the growth of
+// harness::hot_allocs() over its post-warmup window by the requests served
+// in it, the allocs-per-request figure the acceptance gate watches.
 
 namespace {
 
@@ -580,7 +555,7 @@ ChildReport finish_client(ChildProc child) {
 constexpr unsigned kWireClients = 2;
 
 void tag_hot_thread(const char* /*role*/, unsigned /*index*/) {
-  alloc_probe::hot_thread = true;
+  harness::mark_hot_thread();
 }
 
 /// One Poisson tier over loopback TCP: kWireClients child processes, one
@@ -592,7 +567,7 @@ void run_wire_tier(const char* tier, double mult, double seconds,
   so.runtime.workers = workers;
   so.epoch_ms = 10.0;
   so.thread_start_hook = [](const char* role, unsigned) {
-    if (std::strcmp(role, "dispatcher") == 0) alloc_probe::hot_thread = true;
+    if (std::strcmp(role, "dispatcher") == 0) harness::mark_hot_thread();
   };
   Server srv(so);
 
@@ -615,7 +590,7 @@ void run_wire_tier(const char* tier, double mult, double seconds,
         static_cast<std::uint32_t>(i),
         {.fn = [w](const std::uint8_t*, std::size_t, bool approximate,
                    std::vector<std::uint8_t>&) {
-           alloc_probe::hot_thread = true;
+           harness::mark_hot_thread();
            if (approximate) {
              w.approximate();
            } else {
@@ -650,7 +625,7 @@ void run_wire_tier(const char* tier, double mult, double seconds,
 
   for (std::size_t i = 0; i < ids.size(); ++i) {
     for (unsigned t = 0; t < kWireClients; ++t) {
-      const TenantClassCell& cell = srv.tenant_report(tenants[t]).cells[ids[i]];
+      const TenantClassCell cell = srv.tenant_report(tenants[t]).cells[ids[i]];
       const WireStats& w = reports[t].stats[static_cast<std::uint32_t>(i)];
       const auto [p50, p99] = reports[t].pcts[static_cast<std::uint32_t>(i)];
       emit(cells,
@@ -695,7 +670,7 @@ void run_wire_tier(const char* tier, double mult, double seconds,
 /// response buffer's capacity is warm: the peak-throughput kernel.
 void fnv_kernel(const std::uint8_t* payload, std::size_t bytes,
                 bool /*approximate*/, std::vector<std::uint8_t>& out) {
-  alloc_probe::hot_thread = true;
+  harness::mark_hot_thread();
   std::uint64_t h = 1469598103934665603ull;
   for (std::size_t i = 0; i < bytes; ++i) {
     h = (h ^ payload[i]) * 1099511628211ull;
@@ -717,7 +692,7 @@ void run_peak_tier(double seconds, unsigned workers,
   so.runtime.workers = workers;
   so.epoch_ms = 0.0;  // raw throughput: no controller in the loop
   so.thread_start_hook = [](const char* role, unsigned) {
-    if (std::strcmp(role, "dispatcher") == 0) alloc_probe::hot_thread = true;
+    if (std::strcmp(role, "dispatcher") == 0) harness::mark_hot_thread();
   };
   Server srv(so);
 
@@ -757,15 +732,14 @@ void run_peak_tier(double seconds, unsigned workers,
   }
 
   // Warmup lets pools, framing buffers and response capacities reach their
-  // high-water marks; the armed window then counts true steady state.
+  // high-water marks; the window then counts true steady state.
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
   const std::uint64_t r0 = net.counters().responses;
-  alloc_probe::hot_allocs.store(0, std::memory_order_relaxed);
-  alloc_probe::armed.store(true, std::memory_order_relaxed);
+  const std::uint64_t a0 = harness::hot_allocs();
   const std::int64_t w0 = support::now_ns();
   std::this_thread::sleep_for(
       std::chrono::nanoseconds(static_cast<std::int64_t>(seconds * 1e9)));
-  alloc_probe::armed.store(false, std::memory_order_relaxed);
+  const std::uint64_t a1 = harness::hot_allocs();
   const std::int64_t w1 = support::now_ns();
   const std::uint64_t r1 = net.counters().responses;
 
@@ -779,14 +753,12 @@ void run_peak_tier(double seconds, unsigned workers,
   const double req_per_s =
       window_reqs > 0 ? static_cast<double>(window_reqs) / window_s : 0.0;
   const double allocs_per_req =
-      window_reqs > 0
-          ? static_cast<double>(
-                alloc_probe::hot_allocs.load(std::memory_order_relaxed)) /
-                static_cast<double>(window_reqs)
-          : 0.0;
+      window_reqs > 0 ? static_cast<double>(a1 - a0) /
+                            static_cast<double>(window_reqs)
+                      : 0.0;
 
   for (unsigned t = 0; t < kWireClients; ++t) {
-    const TenantClassCell& cell = srv.tenant_report(tenants[t]).cells[cls];
+    const TenantClassCell cell = srv.tenant_report(tenants[t]).cells[cls];
     const WireStats& w = reports[t].stats[cls];
     const auto [p50, p99] = reports[t].pcts[cls];
     emit(cells,

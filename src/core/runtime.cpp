@@ -69,14 +69,12 @@ struct ScratchPool {
 };
 thread_local ScratchPool tls_scratch_pool;
 
-// Dependence-tracker stripe count: explicit config wins (snapped to a
-// power of two within the tracker's mask-width ceiling), otherwise the CPU
-// topology recommends ~4 stripes per worker.
+// Dependence-tracker stripe count: the CPU topology recommends ~4 stripes
+// per worker, snapped to a power of two within the tracker's mask-width
+// ceiling.
 unsigned resolve_dep_stripes(const RuntimeConfig& config) {
   const unsigned workers = config.workers == 0 ? 1 : config.workers;
-  unsigned stripes = config.dep_stripes != 0
-                         ? config.dep_stripes
-                         : topo::system_topology().recommended_stripes(workers);
+  unsigned stripes = topo::system_topology().recommended_stripes(workers);
   if (stripes < 1) stripes = 1;
   if (stripes > dep::BlockTracker::kMaxStripes) {
     stripes = dep::BlockTracker::kMaxStripes;
@@ -118,7 +116,7 @@ Runtime::Runtime(RuntimeConfig config)
     group_table_[i].store(nullptr, std::memory_order_relaxed);
   }
   groups_.push_back(std::make_unique<TaskGroup>(
-      kDefaultGroup, "default", config_.default_ratio, config_.record_task_log));
+      kDefaultGroup, "default", 1.0, config_.record_task_log));
   publish_group(kDefaultGroup, groups_.back().get());
 
   // The scheduler's dequeue hook is the policy's worker-side decision point

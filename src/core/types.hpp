@@ -54,7 +54,9 @@ enum class PolicyKind : std::uint8_t {
   return "?";
 }
 
-/// Runtime construction parameters.
+/// Runtime construction parameters.  The default group starts at ratio 1.0
+/// (Runtime::set_ratio retargets it); the dependence tracker's stripe count
+/// follows the CPU topology.
 struct RuntimeConfig {
   /// Worker thread count.  0 selects inline (synchronous) execution on the
   /// spawning thread — deterministic, handy for tests and debugging.
@@ -72,11 +74,6 @@ struct RuntimeConfig {
 
   /// Enable work stealing between worker queues.
   bool steal = true;
-
-  /// Dependence-tracker stripe count (power of two, at most 64 — the
-  /// stripe mask is one uint64_t).  0 selects a topology-derived default
-  /// (~4 stripes per worker, clamped to [8, 64]).
-  unsigned dep_stripes = 0;
 
   // --- elastic pool & barriers (PR 8) ------------------------------------
 
@@ -99,9 +96,6 @@ struct RuntimeConfig {
   /// runs inline on the spawner (OpenMP-style task-creation cutoff) —
   /// memory stays bounded at extreme fan-out.  0 disables the throttle.
   unsigned spawn_inline_watermark = 256;
-
-  /// Ratio applied to groups created implicitly (including group 0).
-  double default_ratio = 1.0;
 
   /// Record a per-task (significance, kind) log used for Table 2's
   /// significance-inversion and ratio-deviation metrics.  Negligible cost;
