@@ -39,7 +39,7 @@ struct SpawnRecord {
   double steals_per_sec = 0.0;
 };
 
-SpawnRecord measure(unsigned workers, std::uint64_t tasks, int max_warmup) {
+SpawnRecord measure(unsigned workers, std::uint64_t tasks) {
   sigrt::RuntimeConfig c;
   c.workers = workers;
   c.policy = sigrt::PolicyKind::LQH;
@@ -68,7 +68,7 @@ SpawnRecord measure(unsigned workers, std::uint64_t tasks, int max_warmup) {
         spawn_round(tasks + tasks / 2);
         rt.wait_group(g);
       },
-      max_warmup);
+      /*max_rounds=*/8);
 
   const std::uint64_t steals0 = rt.stats().steals;
   const std::uint64_t a0 = harness::allocs();
@@ -100,7 +100,7 @@ SpawnRecord measure(unsigned workers, std::uint64_t tasks, int max_warmup) {
 int main(int, char**) {
   constexpr std::uint64_t kTasks = 200000;
   const unsigned workers = harness::worker_sweep({8}).front();
-  const SpawnRecord r = measure(workers, kTasks, /*max_warmup=*/8);
+  const SpawnRecord r = measure(workers, kTasks);
   std::printf(
       "{\"bench\":\"micro_spawn\",\"cpus\":%u,\"workers\":%u,\"tasks\":%" PRIu64
       ",\"allocs\":%" PRIu64

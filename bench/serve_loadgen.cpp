@@ -29,7 +29,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cinttypes>
 #include <cmath>
 #include <cstdarg>
